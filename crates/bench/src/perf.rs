@@ -503,8 +503,9 @@ fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {
 
 /// The `serve` group: starts an in-process [`crate::serve::Server`] on
 /// an ephemeral localhost port, drives it with the shared loadgen
-/// driver (health checks, cold/memoized solves and sweeps, a mixed
-/// batch, a concurrent throughput batch), then drains it; a second,
+/// kernels (health checks on new and kept-alive connections,
+/// cold/memoized solves and sweeps, a mixed and a full-size batch, a
+/// concurrent throughput batch), then drains it; a second,
 /// fully-sharded server measures the multi-acceptor throughput kernel.
 /// Single-host numbers: client and server share the machine, so treat
 /// throughput as a lower bound.

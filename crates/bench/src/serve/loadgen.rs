@@ -5,8 +5,9 @@
 //! in-process [`crate::serve::Server`] and points the driver at it;
 //! `bandwall loadgen --addr` points it at an already-running server
 //! over real TCP. Either way the driver measures per-endpoint kernels —
-//! health-check latency, cold and memoized solve latency, cold and
-//! memoized sweep latency, a mixed partial-failure batch, and a
+//! health-check latency on a kept-alive and on a new connection, cold
+//! and memoized solve latency, cold and memoized sweep latency, a mixed
+//! partial-failure batch, a full-size batch that fans out, and a
 //! concurrent throughput batch — and *validates* as it measures: every
 //! reply must carry the expected status and cache header, every
 //! memoized body must be byte-identical to the first reply for that
@@ -20,6 +21,7 @@
 //! a single aggregate.
 
 use crate::perf::{BenchOptions, BenchResult};
+use crate::serve::api::{MAX_BATCH_JOBS, MAX_SWEEP_VARIANTS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -206,9 +208,34 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<ClientResponse, String> {
+        self.send(method, path, body, "")
+    }
+
+    /// Sends one request with `connection: close` and reads the reply,
+    /// consuming the client: the one-request-per-connection pattern.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for socket failures or malformed responses.
+    pub fn request_once(
+        mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<ClientResponse, String> {
+        self.send(method, path, body, "connection: close\r\n")
+    }
+
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        extra_headers: &str,
+    ) -> Result<ClientResponse, String> {
         let body = body.unwrap_or("");
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: bandwall\r\ncontent-length: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: bandwall\r\n{extra_headers}content-length: {}\r\n\r\n",
             body.len()
         );
         self.writer
@@ -312,6 +339,26 @@ fn cold_sweep_body(i: usize) -> String {
 /// doubles as a partial-failure check.
 const BATCH_BODY: &str = r#"{"jobs":[{"kind":"solve","problem":{"total_ceas":256,"techniques":[{"kind":"dram_cache","density":8}]}},{"kind":"sweep","sweep":"fig04_cache_compression"},{"kind":"solve","problem":{"total_ceas":-1}}]}"#;
 
+/// The large batch: [`MAX_BATCH_JOBS`] sweep jobs of
+/// [`MAX_SWEEP_VARIANTS`] variants each, every job over a base no
+/// earlier request used (offset off the integer lattice, and off the
+/// other cold lattices, by `1/1024`). The variants are base points:
+/// that many technique variants per job would overflow the 64 KiB body
+/// cap. Each job therefore solves its base once and memoizes the rest —
+/// 2048 solves, enough to take the batch's fan-out path.
+fn large_batch_body(i: usize) -> String {
+    let variants = vec!["{}"; MAX_SWEEP_VARIANTS].join(",");
+    let jobs: Vec<String> = (0..MAX_BATCH_JOBS)
+        .map(|job| {
+            format!(
+                "{{\"kind\":\"sweep\",\"base\":{{\"total_ceas\":{}}},\"variants\":[{variants}]}}",
+                32.0009765625 + (i * MAX_BATCH_JOBS + job) as f64 / 8.0
+            )
+        })
+        .collect();
+    format!("{{\"jobs\":[{}]}}", jobs.join(","))
+}
+
 fn expect_ok(what: &str, response: &ClientResponse) -> Result<(), String> {
     if response.status != 200 {
         return Err(format!(
@@ -349,6 +396,22 @@ fn check_batch_reply(what: &str, response: &ClientResponse) -> Result<(), String
         return Err(format!(
             "{what}: expected 2 ok slots inside the envelope, body {}",
             response.body
+        ));
+    }
+    Ok(())
+}
+
+/// Checks a large-batch reply: 200, every slot ok, every slot a full
+/// sweep.
+fn check_large_batch_reply(what: &str, response: &ClientResponse) -> Result<(), String> {
+    expect_ok(what, response)?;
+    let oks = response.body.matches("\"status\":\"ok\"").count();
+    let rows = response.body.matches("\"label\":\"base\"").count();
+    if oks != 1 + MAX_BATCH_JOBS || rows != MAX_BATCH_JOBS * MAX_SWEEP_VARIANTS {
+        return Err(format!(
+            "{what}: expected {MAX_BATCH_JOBS} ok slots of {MAX_SWEEP_VARIANTS} rows, \
+             got {} ok envelopes and {rows} rows",
+            oks.saturating_sub(1)
         ));
     }
     Ok(())
@@ -516,7 +579,31 @@ pub fn run_against(
     let selection = options.endpoint;
     let mut results = Vec::new();
 
-    // Health-check latency (protocol floor) leads every run.
+    // Health-check latency (protocol floor) leads every run: first one
+    // request per new connection — the accept and admission path every
+    // keep-alive kernel skips — before the keep-alive connection opens,
+    // since on a sharded server it would hold its shard's only worker.
+    let mut samples = Vec::with_capacity(requests);
+    for i in 0..requests {
+        let start = Instant::now();
+        let response = Client::connect(addr)?.request_once("GET", "/healthz", None)?;
+        samples.push(start.elapsed().as_nanos() as u64);
+        expect_ok(&format!("fresh healthz {i}"), &response)?;
+        if !response.close {
+            return Err(format!(
+                "fresh healthz {i}: the server kept a `connection: close` request open"
+            ));
+        }
+    }
+    results.push(BenchResult::from_samples(
+        "serve_healthz_fresh",
+        format!("GET /healthz on a new connection each, {requests} requests"),
+        1,
+        1,
+        "requests",
+        samples,
+    ));
+
     let mut client = Client::connect(addr)?;
     let samples = latency_kernel(
         &mut client,
@@ -678,6 +765,29 @@ pub fn run_against(
             "serve_batch_mixed",
             format!(
                 "POST /v1/batch, {requests} three-job batches (one slot an intentional failure)"
+            ),
+            1,
+            1,
+            "requests",
+            samples,
+        ));
+
+        // Large batches — each a full-size batch of cold sweeps, the
+        // fan-out side of the batch threshold. A tenth of the request
+        // count keeps the kernel's run time near the others'.
+        let large = (requests / 10).max(10);
+        let samples = latency_kernel(
+            &mut client,
+            large,
+            "POST",
+            "/v1/batch",
+            |i| Some(large_batch_body(i)),
+            |i, response| check_large_batch_reply(&format!("large batch {i}"), response),
+        )?;
+        results.push(BenchResult::from_samples(
+            "serve_batch_large",
+            format!(
+                "POST /v1/batch, {large} batches of {MAX_BATCH_JOBS} {MAX_SWEEP_VARIANTS}-variant sweeps over distinct bases"
             ),
             1,
             1,

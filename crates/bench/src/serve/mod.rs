@@ -3,22 +3,26 @@
 //! A std-only TCP/HTTP-JSON front end over the analytical model, built
 //! for graceful degradation first and throughput second:
 //!
-//! * one or more nonblocking **acceptors** (one per shard, sharing the
-//!   listening socket) admit connections into per-shard
-//!   [`queue::BoundedQueue`]s in batches — one lock acquisition and one
-//!   wakeup per accept burst — and *shed* the excess with an immediate
-//!   `overloaded` reply once every shard is full: queue depth, not
-//!   client count, bounds memory;
+//! * one or more **acceptors** (one per shard, sharing the listening
+//!   socket) block in `accept()` and admit each connection to their
+//!   shard's [`queue::BoundedQueue`], spilling to sibling shards and
+//!   *shedding* with an immediate `overloaded` reply only once every
+//!   shard is full: queue depth, not client count, bounds memory;
 //! * N run-to-completion **workers** (partitioned across the shards)
 //!   drain the queues, enforce per-request deadlines, and contain
-//!   handler panics;
+//!   handler panics; a `/v1/batch` runs inline unless its solve count
+//!   pays for a helper thread, and the calling worker takes a share of
+//!   any fan-out;
 //! * a **supervisor** respawns workers that die (chaos or otherwise)
 //!   with doubling backoff, keeping each respawn on its shard;
 //! * a memo **cache** ([`cache`]) keyed by canonical problem encodings
 //!   returns byte-identical bodies for repeated queries — shared by
 //!   `/v1/solve` and every `/v1/sweep` variant;
-//! * shutdown is a flag flip: the acceptors close the port, the queues
-//!   close, workers drain in-flight work, and [`Server::join`] returns.
+//! * shutdown flips the drain flag and opens one throwaway loopback
+//!   connection per shard, so every acceptor blocked in `accept()`
+//!   wakes, drops it unqueued and exits; the port closes with the last
+//!   acceptor, the queues close, workers drain in-flight work, and
+//!   [`Server::join`] returns.
 //!
 //! Endpoints are the versioned route table in [`api`]: `GET /healthz`,
 //! `GET /readyz`, `GET /v1/techniques`, `POST /v1/solve` (with the
@@ -40,14 +44,18 @@ use crate::serve::cache::SolveCache;
 use crate::serve::http::Response;
 use crate::serve::queue::{BoundedQueue, PushError};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Most connections one acceptor pass admits under a single queue lock.
-const ACCEPT_BATCH: usize = 16;
+/// How long an acceptor backs off after a failed `accept()`, so a
+/// persistent error such as `EMFILE` cannot spin its thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// How long [`ShutdownHandle::shutdown`] waits for each wake connection.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How the server runs; every knob has a CLI flag.
 #[derive(Debug, Clone)]
@@ -160,7 +168,7 @@ pub(crate) struct ServeContext {
 
 impl ServeContext {
     pub fn is_draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::Acquire)
     }
 
     /// Whether every shard's queue is at capacity — the readiness
@@ -176,13 +184,38 @@ impl ServeContext {
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     ctx: Arc<ServeContext>,
+    addr: SocketAddr,
 }
 
 impl ShutdownHandle {
-    /// Flips the drain flag: the acceptors close the port, queued and
-    /// in-flight requests finish, idle connections close.
+    /// Flips the drain flag, then opens one throwaway connection per
+    /// shard so every acceptor blocked in `accept()` wakes, sees the
+    /// flag and exits: the port closes, queued and in-flight requests
+    /// finish, idle connections close. Only the first call does
+    /// anything; later calls are no-ops.
     pub fn shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::Relaxed);
+        // Release pairs with the Acquire load in `is_draining`: an
+        // acceptor woken by the connections below sees the flag set.
+        if self.ctx.shutdown.swap(true, Ordering::Release) {
+            return;
+        }
+        let wake = SocketAddr::new(loopback_for(self.addr.ip()), self.addr.port());
+        for _ in 0..self.ctx.queues.len() {
+            // A failed connect means the listener is already gone or its
+            // backlog is full of real connections, each of which wakes
+            // an acceptor just as well.
+            let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
+        }
+    }
+}
+
+/// The address a local client reaches a listener bound to `ip` on: an
+/// unspecified bind (`0.0.0.0` or `[::]`) maps to its loopback.
+fn loopback_for(ip: IpAddr) -> IpAddr {
+    match ip {
+        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        other => other,
     }
 }
 
@@ -208,7 +241,6 @@ impl Server {
         config.shards = shards;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // Every shard accepts from the same socket through a clone; the
         // port closes once the last acceptor drops its handle.
         let mut listeners = Vec::with_capacity(shards);
@@ -259,6 +291,7 @@ impl Server {
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
             ctx: Arc::clone(&self.ctx),
+            addr: self.addr,
         }
     }
 
@@ -301,34 +334,30 @@ fn snapshot_of(ctx: &ServeContext) -> StatsSnapshot {
     }
 }
 
-/// One shard's acceptor: accepts until drain, never blocking. Each pass
-/// drains the accept backlog into a batch and admits the whole batch to
-/// this shard's queue under one lock; the refused tail spills to
-/// sibling shards and only then is shed with an immediate `overloaded`
-/// reply written best-effort on a nonblocking socket.
+/// One shard's acceptor: blocks in `accept()` and admits each
+/// connection to this shard's queue, spilling to sibling shards and
+/// only then shedding it with an immediate `overloaded` reply. The
+/// first connection it sees once draining — a shutdown wake or a real
+/// client racing the drain — is dropped unqueued and uncounted, and the
+/// acceptor exits.
 fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>, shard: usize) {
-    let mut batch: Vec<Conn> = Vec::with_capacity(ACCEPT_BATCH);
-    while !ctx.is_draining() {
-        while batch.len() < ACCEPT_BATCH {
-            match listener.accept() {
-                Ok((stream, _)) => batch.push(Conn {
+    loop {
+        let accepted = listener.accept();
+        if ctx.is_draining() {
+            break;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                let conn = Conn {
                     stream,
                     accepted_at: Instant::now(),
-                }),
-                // WouldBlock (backlog drained) or a transient accept
-                // error: admit what we have.
-                Err(_) => break,
+                };
+                if let Some(conn) = admit(ctx, shard, conn) {
+                    ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    shed(conn.stream);
+                }
             }
-        }
-        if batch.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        for conn in ctx.queues[shard].push_many(std::mem::take(&mut batch)) {
-            if let Some(conn) = spill(ctx, shard, conn) {
-                ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shed(conn.stream);
-            }
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     // Dropping the listener handle releases the port (fully closed once
@@ -338,12 +367,12 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>, shard: usize) {
     ctx.queues[shard].close();
 }
 
-/// Offers a connection the home shard refused to every sibling shard in
-/// round-robin order. Returns the connection back when all are full —
-/// only then is the server genuinely overloaded.
-fn spill(ctx: &ServeContext, home: usize, mut conn: Conn) -> Option<Conn> {
+/// Offers a connection to its home shard, then to every sibling shard
+/// in round-robin order. Returns the connection back when all are full
+/// — only then is the server genuinely overloaded.
+fn admit(ctx: &ServeContext, home: usize, mut conn: Conn) -> Option<Conn> {
     let shards = ctx.queues.len();
-    for step in 1..shards {
+    for step in 0..shards {
         match ctx.queues[(home + step) % shards].try_push(conn) {
             Ok(()) => return None,
             Err(PushError::Full(back)) | Err(PushError::Closed(back)) => conn = back,

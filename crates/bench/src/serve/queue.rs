@@ -75,32 +75,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Admits as many of `items` as capacity allows under **one** lock
-    /// acquisition and wakeup — the acceptor's batched admission path.
-    /// Returns the refused tail (everything once the queue was full, or
-    /// all of `items` when closed) for shedding; order is preserved.
-    pub fn push_many(&self, items: Vec<T>) -> Vec<T> {
-        if items.is_empty() {
-            return items;
-        }
-        let mut inner = self.lock();
-        if inner.closed {
-            return items;
-        }
-        let room = self.capacity.saturating_sub(inner.items.len());
-        let admitted = items.len().min(room);
-        let mut items = items;
-        let refused = items.split_off(admitted);
-        inner.items.extend(items);
-        drop(inner);
-        match admitted {
-            0 => {}
-            1 => self.ready.notify_one(),
-            _ => self.ready.notify_all(),
-        }
-        refused
-    }
-
     /// Blocks until an item is available (returning it) or the queue is
     /// closed *and* drained (returning `None`). Closed-but-nonempty
     /// queues keep handing out items so shutdown drains in-flight work.
@@ -233,21 +207,6 @@ mod tests {
         q.close();
         let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, produced);
-    }
-
-    #[test]
-    fn push_many_admits_to_capacity_and_returns_the_rest() {
-        let q = BoundedQueue::new(3);
-        q.try_push(0).unwrap();
-        let refused = q.push_many(vec![1, 2, 3, 4]);
-        assert_eq!(refused, vec![3, 4], "overflow comes back in order");
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert!(q.is_empty());
-        assert_eq!(q.push_many(Vec::<i32>::new()), Vec::<i32>::new());
-        q.close();
-        assert_eq!(q.push_many(vec![9]), vec![9], "closed refuses everything");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::io::{BufReader, ErrorKind};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Request-head cap: 8 KiB covers any legitimate client.
@@ -40,9 +40,16 @@ const MAX_HEAD_BYTES: usize = 8 * 1024;
 const MAX_BODY_BYTES: usize = 64 * 1024;
 /// How often an idle keep-alive wait rechecks the drain flag.
 const IDLE_POLL: Duration = Duration::from_millis(50);
-/// Most threads one batch fans out over (further bounded by the batch's
-/// job count and the host's parallelism).
+/// Most threads one batch fans out over, the calling worker included
+/// (further bounded by the batch's job count and the host's
+/// parallelism).
 const MAX_BATCH_FANOUT: usize = 8;
+/// Fewest solves a batch must carry before it fans out. Spawning and
+/// joining one scoped helper costs about as much as 6.5 memo-miss
+/// solves, and a helper saves at most half the batch's work, so below
+/// twice that a batch runs faster inline (measured break-even in
+/// EXPERIMENTS.md).
+const FANOUT_MIN_SOLVES: usize = 13;
 
 pub(crate) const LIMITS: Limits = Limits {
     max_head_bytes: MAX_HEAD_BYTES,
@@ -105,12 +112,9 @@ fn await_next_request(ctx: &ServeContext, stream: &TcpStream, buffered: bool) ->
 fn handle_connection(ctx: &ServeContext, mut injector: Option<&mut Injector>, conn: Conn) {
     ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
     let stream = conn.stream;
-    // The acceptor never blocks, so accepted sockets may arrive
-    // nonblocking; workers want blocking reads bounded by timeouts.
-    if stream.set_nonblocking(false).is_err()
-        || stream
-            .set_write_timeout(Some(ctx.config.read_timeout))
-            .is_err()
+    if stream
+        .set_write_timeout(Some(ctx.config.read_timeout))
+        .is_err()
         || stream
             .set_read_timeout(Some(ctx.config.read_timeout))
             .is_err()
@@ -442,10 +446,29 @@ fn run_job(ctx: &ServeContext, job: &Result<BatchJob, ApiError>, deadline: Insta
     }
 }
 
-/// Fans a batch out over scoped threads (work-stealing by job index)
-/// and renders the reply. Partial failure is the contract: each job's
-/// slot carries its own success or error envelope, and one bad job
-/// never takes down its neighbours.
+/// How many solves a job costs: one per solve, one per sweep variant,
+/// none for a job that failed to parse.
+fn job_solves(job: &Result<BatchJob, ApiError>) -> usize {
+    match job {
+        Ok(BatchJob::Solve(_)) => 1,
+        Ok(BatchJob::Sweep(sweep)) => sweep.variants.len(),
+        Err(_) => 0,
+    }
+}
+
+/// The host's parallelism, read once: the lookup reads cgroup files on
+/// every call.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+}
+
+/// Runs a batch and renders the reply. A batch with fewer than
+/// [`FANOUT_MIN_SOLVES`] solves runs inline; a larger one spawns
+/// helpers and the calling worker works alongside them, all taking
+/// jobs by index. Partial failure is the contract: each job's slot
+/// carries its own success or error envelope, and one bad job never
+/// takes down its neighbours.
 fn run_batch(
     ctx: &ServeContext,
     fault: Option<Fault>,
@@ -457,35 +480,32 @@ fn run_batch(
             panic!("{}", message.clone());
         }
         let jobs = &batch.jobs;
-        let fanout = jobs
-            .len()
-            .min(MAX_BATCH_FANOUT)
-            .min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
-        let mut slots: Vec<String> = vec![String::new(); jobs.len()];
-        if fanout <= 1 {
-            for (job, slot) in jobs.iter().zip(&mut slots) {
-                *slot = run_job(ctx, job, deadline);
-            }
+        let solves: usize = jobs.iter().map(job_solves).sum();
+        let fanout = if solves < FANOUT_MIN_SOLVES {
+            1
         } else {
-            let shared: Vec<Mutex<String>> = slots.drain(..).map(Mutex::new).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..fanout {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let body = run_job(ctx, &jobs[i], deadline);
-                        *shared[i].lock().unwrap_or_else(|p| p.into_inner()) = body;
-                    });
-                }
-            });
-            slots = shared
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap_or_else(|p| p.into_inner()))
-                .collect();
-        }
+            jobs.len().min(MAX_BATCH_FANOUT).min(host_parallelism())
+        };
+        let slots: Vec<Mutex<String>> = jobs.iter().map(|_| Mutex::default()).collect();
+        let next = AtomicUsize::new(0);
+        let take_jobs = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return;
+            };
+            let body = run_job(ctx, job, deadline);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = body;
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..fanout {
+                scope.spawn(take_jobs);
+            }
+            take_jobs();
+        });
+        let slots: Vec<String> = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         batch_body(&slots)
     }));
     match outcome {

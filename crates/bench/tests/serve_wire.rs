@@ -6,7 +6,7 @@
 
 use bandwall_experiments::fault::ChaosSpec;
 use bandwall_experiments::serve::loadgen::Client;
-use bandwall_experiments::serve::{ServeConfig, Server};
+use bandwall_experiments::serve::{ServeConfig, Server, StatsSnapshot};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ fn start(config: ServeConfig) -> (Server, SocketAddr) {
     (server, addr)
 }
 
-fn stop(server: Server) -> bandwall_experiments::serve::StatsSnapshot {
+fn stop(server: Server) -> StatsSnapshot {
     server.shutdown_handle().shutdown();
     server.join()
 }
@@ -644,4 +644,140 @@ fn sharded_server_serves_all_endpoints_and_drains() {
     assert_eq!(stats.shed, 0, "16 queued connections never overflow");
     // The port is closed after the drain.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err());
+}
+
+/// Shuts `server` down from a helper thread and waits up to `limit` for
+/// the drain; `None` means it did not finish in time.
+fn drain_within(server: Server, limit: Duration) -> Option<StatsSnapshot> {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown_handle().shutdown();
+        let _ = done.send(server.join());
+    });
+    finished.recv_timeout(limit).ok()
+}
+
+#[test]
+fn idle_server_on_all_interfaces_drains_promptly() {
+    for shards in [1, 4] {
+        let server = Server::start(ServeConfig {
+            addr: "0.0.0.0:0".to_string(),
+            workers: 4,
+            shards,
+            ..test_config()
+        })
+        .expect("server starts");
+        let port = server.addr().port();
+        // Let every acceptor settle into its blocking accept().
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = drain_within(server, Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("{shards}-shard idle server did not drain within 1 s"));
+        assert_eq!(
+            stats.connections, 0,
+            "{shards} shards: wake connections must never reach a worker: {stats:?}"
+        );
+        assert_eq!(stats.shed, 0, "{shards} shards: {stats:?}");
+        let loopback = SocketAddr::from(([127, 0, 0, 1], port));
+        assert!(
+            TcpStream::connect_timeout(&loopback, Duration::from_millis(300)).is_err(),
+            "{shards} shards: port should be closed after drain"
+        );
+    }
+}
+
+#[test]
+fn calling_shutdown_twice_is_harmless() {
+    let (server, addr) = start(ServeConfig {
+        workers: 2,
+        shards: 2,
+        ..test_config()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    drop(client);
+    let handle = server.shutdown_handle();
+    handle.shutdown();
+    handle.clone().shutdown();
+    let stats = server.join();
+    handle.shutdown();
+    assert_eq!(stats.connections, 1, "{stats:?}");
+    assert_eq!(stats.served_ok, 1, "{stats:?}");
+    assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err());
+}
+
+/// Sends `jobs` — `(endpoint, standalone body)` pairs — as one batch and
+/// asserts the reply is exactly the standalone replies' bodies, in
+/// order, inside the batch envelope.
+fn assert_batch_matches_standalone(client: &mut Client, jobs: &[(&str, String)]) {
+    let mut expected_slots = Vec::new();
+    let mut batch_jobs = Vec::new();
+    for (endpoint, body) in jobs {
+        let standalone = client.request("POST", endpoint, Some(body)).unwrap();
+        expected_slots.push(standalone.body);
+        let kind = endpoint.trim_start_matches("/v1/");
+        let fields = if kind == "solve" {
+            format!("\"problem\":{body}")
+        } else {
+            body.trim_start_matches('{')
+                .trim_end_matches('}')
+                .to_string()
+        };
+        batch_jobs.push(format!("{{\"kind\":\"{kind}\",{fields}}}"));
+    }
+    let batch = format!("{{\"jobs\":[{}]}}", batch_jobs.join(","));
+    let response = client.request("POST", "/v1/batch", Some(&batch)).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let expected = format!(
+        "{{\"status\":\"ok\",\"result\":{{\"results\":[{}]}}}}",
+        expected_slots.join(",")
+    );
+    assert_eq!(
+        response.body, expected,
+        "batch slots differ from standalone replies"
+    );
+}
+
+#[test]
+fn batches_below_and_above_the_fanout_threshold_match_standalone_replies() {
+    let (server, addr) = start(ServeConfig {
+        workers: 4,
+        ..test_config()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    // Six solves: inline on the calling worker.
+    let small = [
+        ("/v1/solve", "{\"total_ceas\":48}".to_string()),
+        ("/v1/sweep", "{\"sweep\":\"fig05_dram_cache\"}".to_string()),
+        ("/v1/solve", "{\"total_ceas\":-1}".to_string()),
+    ];
+    assert_batch_matches_standalone(&mut client, &small);
+    // Twelve jobs and 400+ solves: fanned out over helper threads.
+    let mut large: Vec<(&str, String)> = Vec::new();
+    for job in 0..12 {
+        if job % 4 == 3 {
+            large.push(("/v1/solve", format!("{{\"total_ceas\":{}}}", 70 + job)));
+            continue;
+        }
+        let variants: Vec<String> = (0..48)
+            .map(|v| {
+                format!(
+                    "{{\"technique\":{{\"kind\":\"dram_cache\",\"density\":{}}}}}",
+                    1 + v + job
+                )
+            })
+            .collect();
+        large.push((
+            "/v1/sweep",
+            format!(
+                "{{\"base\":{{\"total_ceas\":{}}},\"variants\":[{}]}}",
+                100 + job,
+                variants.join(",")
+            ),
+        ));
+    }
+    large.push(("/v1/sweep", "{\"sweep\":\"no_such_sweep\"}".to_string()));
+    assert_batch_matches_standalone(&mut client, &large);
+    drop(client);
+    let stats = stop(server);
+    assert_eq!(stats.internal, 0, "{stats:?}");
 }
