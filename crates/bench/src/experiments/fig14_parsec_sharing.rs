@@ -9,7 +9,8 @@
 //! Figure 13 shows is needed — because each added thread brings its own
 //! private working set while the shared set stays put.
 //!
-//! Run with `--release`; the simulation covers ~1M accesses.
+//! Run with `--release`; the simulation covers 1.2M accesses (400k at each
+//! of 4, 8 and 16 cores).
 
 use crate::error::ExperimentError;
 use crate::registry::Experiment;

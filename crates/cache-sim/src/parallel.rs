@@ -62,8 +62,12 @@
 //! each chunk into per-bank batches, and sends each worker only its own
 //! accesses over bounded channels; workers hand drained batch buffers
 //! back for reuse, so the steady state circulates a fixed set of
-//! allocations. Generation is cheap relative to simulation, so the
-//! pipeline scales with the slowest bank.
+//! allocations. Generation is cheap relative to simulation: measured
+//! with `bandwall bench sim_engine` on a 2-vCPU Xeon VM, the Figure 14
+//! trace costs about 50 ns per access to generate (`fig14_trace_gen`)
+//! and 145 ns to simulate on one bank (`fig14_sim_seq`). Up to about
+//! three banks the pipeline therefore scales with the slowest bank;
+//! past that, the generating thread bounds it.
 //!
 //! # Examples
 //!

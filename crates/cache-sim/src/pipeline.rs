@@ -45,7 +45,7 @@ use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
 use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, Sampled, ZeroRle};
 use bandwall_numerics::Rng;
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// How a miss fills a line: granularity fetched, bytes occupied, and —
 /// for compressed policies — where payload values come from.
@@ -649,6 +649,67 @@ impl BudgetedSet {
     }
 }
 
+/// `log2` of the lines one [`FirstTouch`] page covers.
+const PAGE_SHIFT: u32 = 12;
+/// `u64` words per page: 4096 bits, 512 bytes.
+const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 6);
+/// `log2` of the memo's slot count.
+const MEMO_BITS: u32 = 4;
+
+/// The exact set of line tags a cache has ever missed on — the
+/// compulsory-miss classifier.
+///
+/// One bit per line, in pages of 4096 lines (512 bytes) found through a
+/// page map. The classifier runs on every miss, which for a small L1 is
+/// nearly every access; simulated working sets cluster in a few pages,
+/// so a direct-mapped memo of recently hit pages answers most lookups
+/// without hashing.
+#[derive(Debug, Clone)]
+struct FirstTouch {
+    pages: Vec<[u64; PAGE_WORDS]>,
+    /// Page number → index into `pages`.
+    page_map: HashMap<u64, usize>,
+    /// `(page number, index)` per slot, the slot chosen by a
+    /// multiplicative hash of the page number. Page numbers are at most
+    /// `u64::MAX >> PAGE_SHIFT`, so `u64::MAX` marks an empty slot.
+    memo: [(u64, usize); 1 << MEMO_BITS],
+}
+
+impl FirstTouch {
+    fn new() -> Self {
+        FirstTouch {
+            pages: Vec::new(),
+            page_map: HashMap::new(),
+            memo: [(u64::MAX, 0); 1 << MEMO_BITS],
+        }
+    }
+
+    /// Records `tag`, returning `true` iff it was not yet present — the
+    /// `HashSet::insert` contract.
+    #[inline]
+    fn insert(&mut self, tag: u64) -> bool {
+        let page = tag >> PAGE_SHIFT;
+        let slot = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize;
+        let index = if self.memo[slot].0 == page {
+            self.memo[slot].1
+        } else {
+            let fresh = self.pages.len();
+            let index = *self.page_map.entry(page).or_insert(fresh);
+            if index == fresh {
+                self.pages.push([0; PAGE_WORDS]);
+            }
+            self.memo[slot] = (page, index);
+            index
+        };
+        let line = tag & ((1 << PAGE_SHIFT) - 1);
+        let word = &mut self.pages[index][(line >> 6) as usize];
+        let bit = 1u64 << (line & 63);
+        let first = *word & bit == 0;
+        *word |= bit;
+        first
+    }
+}
+
 /// Backing storage: fixed ways per set, or a byte budget per set.
 #[derive(Debug, Clone)]
 enum Storage {
@@ -741,7 +802,7 @@ pub struct PipelineCache<F: Fill = FullLineFill> {
     conventional_fetch_bytes: u64,
     word_usage: Option<WordUsageStats>,
     sharing: Option<SharingStats>,
-    seen_lines: HashSet<u64>,
+    seen_lines: FirstTouch,
     tick: u64,
     /// Reusable payload buffer for generator-backed size computation, so
     /// steady-state misses allocate nothing.
@@ -821,7 +882,7 @@ impl<F: Fill> PipelineCache<F> {
             conventional_fetch_bytes: 0,
             word_usage: None,
             sharing: None,
-            seen_lines: HashSet::new(),
+            seen_lines: FirstTouch::new(),
             tick: 0,
             scratch: Vec::new(),
             size_memo: HashMap::new(),
@@ -1632,6 +1693,68 @@ mod tests {
     fn incompressible_line(seed: u64, line_size: usize) -> Vec<u8> {
         let mut rng = Rng::seed_from_u64(seed);
         (0..line_size).map(|_| rng.gen_u8()).collect()
+    }
+
+    /// Feeds `tags` to a [`FirstTouch`] and a `HashSet` reference,
+    /// requiring the same `insert` result at every step.
+    fn assert_first_touch_matches(label: &str, tags: impl IntoIterator<Item = u64>) {
+        let mut bitmap = FirstTouch::new();
+        let mut reference = std::collections::HashSet::new();
+        for (step, tag) in tags.into_iter().enumerate() {
+            assert_eq!(
+                bitmap.insert(tag),
+                reference.insert(tag),
+                "{label}: step {step}, tag {tag:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn first_touch_matches_a_hash_set() {
+        let page = 1u64 << PAGE_SHIFT;
+        let memo_slots = 1u64 << MEMO_BITS;
+        assert_first_touch_matches("dense", (0..3 * page).chain(0..3 * page));
+        let mut rng = Rng::seed_from_u64(11);
+        assert_first_touch_matches("random", (0..200_000).map(|_| rng.gen_range(0..64 * page)));
+        let mut rng = Rng::seed_from_u64(12);
+        let wide: Vec<u64> = (0..5_000).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+        assert_first_touch_matches("random, wide", wide.iter().chain(&wide).copied());
+        assert_first_touch_matches(
+            "page boundaries",
+            (1..40)
+                .flat_map(|p| [p * page - 1, p * page, p * page + 1])
+                .cycle()
+                .take(400),
+        );
+        // One line per page over more pages than the memo has slots, so
+        // revisits find their pages evicted from it.
+        assert_first_touch_matches(
+            "sparse",
+            (0..3).flat_map(|_| (0..8 * memo_slots).map(|p| p * page + p % page)),
+        );
+        let top = u64::MAX >> 6;
+        assert_first_touch_matches(
+            "top of the tag space",
+            (0..3 * page)
+                .map(|k| top - k)
+                .chain([top, top - page, 0, top >> 1, top]),
+        );
+    }
+
+    /// A scan with one line per first-touch page, wrapping twice: the
+    /// first pass is all cold misses and the later passes none.
+    #[test]
+    fn page_strided_scan_counts_cold_misses_once() {
+        use bandwall_trace::{StridedTrace, TraceSource};
+        let lines = 3 * (1u64 << MEMO_BITS);
+        let mut cache = crate::Cache::new(CacheConfig::new(4096, 64, 4).expect("valid"));
+        let mut scan = StridedTrace::new(64, 64 << PAGE_SHIFT, lines);
+        for access in scan.iter().take(3 * lines as usize) {
+            cache.access(access.address(), false);
+        }
+        assert_eq!(cache.stats().cold_misses(), lines);
+        // Every line maps to one 4-way set, so every access misses.
+        assert_eq!(cache.stats().misses(), 3 * lines);
     }
 
     /// Zero evictable candidates (only the protected line resident, yet

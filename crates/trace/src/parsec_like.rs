@@ -10,6 +10,7 @@
 //! reproduces the declining trend without PARSEC itself.
 
 use crate::access::{AccessKind, MemoryAccess, TraceSource};
+use crate::zipf::ZipfSampler;
 use bandwall_numerics::Rng;
 use std::collections::VecDeque;
 
@@ -126,22 +127,12 @@ impl ParsecLikeTraceBuilder {
                 && (self.private_lines_per_thread as u64) < max_lines,
             "regions must fit within the per-thread address stride"
         );
-        // Zipf CDF over the shared region.
-        let mut cdf = Vec::with_capacity(self.shared_lines);
-        let mut acc = 0.0;
-        for k in 1..=self.shared_lines {
-            acc += (k as f64).powf(-self.shared_zipf_exponent);
-            cdf.push(acc);
-        }
-        for v in &mut cdf {
-            *v /= acc;
-        }
         ParsecLikeTrace {
             threads: self.threads,
             private_lines_per_thread: self.private_lines_per_thread,
             shared_access_fraction: self.shared_access_fraction,
             echo_probability: self.echo_probability,
-            shared_cdf: cdf,
+            shared_ranks: ZipfSampler::new(self.shared_lines, self.shared_zipf_exponent),
             line_size: self.line_size,
             write_fraction: self.write_fraction,
             name: self.name,
@@ -175,7 +166,7 @@ pub struct ParsecLikeTrace {
     private_lines_per_thread: usize,
     shared_access_fraction: f64,
     echo_probability: f64,
-    shared_cdf: Vec<f64>,
+    shared_ranks: ZipfSampler,
     line_size: u64,
     write_fraction: f64,
     name: String,
@@ -223,7 +214,7 @@ impl ParsecLikeTrace {
 
     /// Size of the shared region in lines.
     pub fn shared_lines(&self) -> usize {
-        self.shared_cdf.len()
+        self.shared_ranks.len()
     }
 
     /// The configured line size in bytes.
@@ -234,17 +225,6 @@ impl ParsecLikeTrace {
     /// `true` if `address` falls inside the shared region.
     pub fn is_shared_address(&self, address: u64) -> bool {
         address < PRIVATE_REGION_STRIDE
-    }
-
-    fn sample_shared_line(&mut self) -> u64 {
-        let u: f64 = self.rng.gen_f64();
-        match self
-            .shared_cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF has no NaN"))
-        {
-            Ok(i) => i as u64,
-            Err(i) => i.min(self.shared_cdf.len() - 1) as u64,
-        }
     }
 }
 
@@ -266,7 +246,7 @@ impl TraceSource for ParsecLikeTrace {
         self.next_thread = (self.next_thread + 1) % self.threads;
         let shared = self.rng.gen_f64() < self.shared_access_fraction;
         let address = if shared {
-            self.sample_shared_line() * self.line_size
+            self.shared_ranks.sample(&mut self.rng) as u64 * self.line_size
         } else {
             let line = self.rng.gen_range(0..self.private_lines_per_thread as u64);
             (thread as u64 + 1) * PRIVATE_REGION_STRIDE + line * self.line_size
@@ -350,6 +330,39 @@ mod tests {
         let f8 = fraction_for(8);
         let f16 = fraction_for(16);
         assert!(f4 > f8 && f8 > f16, "fractions {f4} {f8} {f16}");
+    }
+
+    /// FNV-1a over the first 200k accesses of the Figure 14 trace.
+    fn figure14_digest(threads: u16) -> u64 {
+        let mut t = ParsecLikeTrace::builder_with_regions(threads, 4000, 1500)
+            .shared_access_fraction(0.4)
+            .seed(2026)
+            .build();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for a in t.iter().take(200_000) {
+            let words = [
+                a.address(),
+                u64::from(a.thread()),
+                u64::from(a.kind().is_write()),
+            ];
+            for word in words {
+                h = (h ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the Figure 14 streams, so a change to the generator fails
+    /// here and not only in the golden report.
+    #[test]
+    fn figure14_streams_are_pinned() {
+        for (threads, expected) in [
+            (4, 0xb9d8_3c71_32dc_fa55),
+            (8, 0xe383_5221_9063_3f6b),
+            (16, 0xd41c_f1a2_1419_a01a),
+        ] {
+            assert_eq!(figure14_digest(threads), expected, "{threads} threads");
+        }
     }
 
     #[test]

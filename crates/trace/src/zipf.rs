@@ -70,18 +70,8 @@ impl ZipfTraceBuilder {
             (0.0..=1.0).contains(&self.write_fraction),
             "write fraction must be in [0, 1]"
         );
-        let mut cdf = Vec::with_capacity(self.lines);
-        let mut acc = 0.0;
-        for k in 1..=self.lines {
-            acc += (k as f64).powf(-self.exponent);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
         ZipfTrace {
-            cdf,
+            ranks: ZipfSampler::new(self.lines, self.exponent),
             line_size: self.line_size,
             write_fraction: self.write_fraction,
             name: self.name,
@@ -103,7 +93,7 @@ impl ZipfTraceBuilder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZipfTrace {
-    cdf: Vec<f64>,
+    ranks: ZipfSampler,
     line_size: u64,
     write_fraction: f64,
     name: String,
@@ -126,24 +116,12 @@ impl ZipfTrace {
 
     /// Number of lines in the working set.
     pub fn lines(&self) -> usize {
-        self.cdf.len()
+        self.ranks.len()
     }
 
     /// The configured line size in bytes.
     pub fn line_size(&self) -> u64 {
         self.line_size
-    }
-
-    /// Samples a popularity rank (0-based, 0 = most popular).
-    fn sample_rank(&mut self) -> usize {
-        let u: f64 = self.rng.gen_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF has no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
     }
 }
 
@@ -151,7 +129,7 @@ impl TraceSource for ZipfTrace {
     fn next_access(&mut self) -> MemoryAccess {
         // Rank k maps to line k: the k-th line of the region is the k-th
         // most popular. Set-index hashing in the simulator spreads them.
-        let line = self.sample_rank() as u64;
+        let line = self.ranks.sample(&mut self.rng) as u64;
         let address = line * self.line_size;
         let kind = if self.rng.gen_f64() < self.write_fraction {
             AccessKind::Write
@@ -166,10 +144,118 @@ impl TraceSource for ZipfTrace {
     }
 }
 
+/// Inverse-CDF sampling of Zipf ranks, shared by [`ZipfTrace`] and the
+/// shared region of [`crate::ParsecLikeTrace`].
+///
+/// A draw maps one uniform `u ∈ [0, 1)` to the first rank whose
+/// cumulative probability reaches `u`. A guide table over `2^k ≥ n`
+/// equal-width buckets of `[0, 1)` starts each search at the first rank
+/// that can satisfy any `u` in its bucket (Chen & Asau's guide-table
+/// method), so a draw costs about two CDF comparisons instead of a
+/// `log2 n`-step binary search. The bucket count is a power of two, so
+/// `u · buckets` is exact and the table never starts a search past the
+/// answer: the rank is the one a binary search of the same CDF finds,
+/// except that where far-tail weights vanish below the sum's rounding
+/// and the CDF repeats a value `u` hits exactly, it is the run's first.
+#[derive(Debug, Clone)]
+pub(crate) struct ZipfSampler {
+    /// Normalised cumulative popularity; the last entry is exactly 1.
+    cdf: Vec<f64>,
+    /// `guide[b]` is the first rank whose CDF reaches `b / guide.len()`.
+    guide: Vec<usize>,
+}
+
+impl ZipfSampler {
+    /// Precomputes the CDF of ranks `1..=n` (`n ≥ 1`, which both
+    /// builders check) weighted `k^-exponent`, and its guide table.
+    pub(crate) fn new(n: usize, exponent: f64) -> Self {
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += (k as f64).powf(-exponent);
+            cdf.push(acc);
+        }
+        for v in &mut cdf {
+            *v /= acc;
+        }
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut rank = 0;
+        for b in 0..buckets {
+            // The bucket floor is below 1 = cdf[n - 1], so the scan stops
+            // inside the table.
+            let floor = b as f64 / buckets as f64;
+            while cdf[rank] < floor {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        ZipfSampler { cdf, guide }
+    }
+
+    /// Number of ranks.
+    pub(crate) fn len(&self) -> usize {
+        self.cdf.len()
+    }
+
+    /// Draws a rank (0-based, 0 = most popular) from one `gen_f64`.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
+        self.rank(rng.gen_f64())
+    }
+
+    /// The first rank whose CDF reaches `u ∈ [0, 1)`.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        // `u < 1 = cdf[n - 1]`, so the scan stops inside the table.
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize];
+        while self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// The binary search the guide table replaced, kept as the reference.
+    fn binary_search_rank(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF has no NaN")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search() {
+        for exponent in [0.0, 0.6, 0.9, 2.0] {
+            for n in [1, 2, 3, 4000, 4096, 4097] {
+                let sampler = ZipfSampler::new(n, exponent);
+                let mut rng = Rng::seed_from_u64(n as u64);
+                let mut reference = rng.clone();
+                for _ in 0..100_000 {
+                    let expected = binary_search_rank(&sampler.cdf, reference.gen_f64());
+                    assert_eq!(sampler.sample(&mut rng), expected, "n {n}, s {exponent}");
+                }
+                // The draws that land exactly on a CDF value or a bucket
+                // floor, and their neighbours, which random draws all but
+                // never hit.
+                let buckets = sampler.guide.len();
+                let floors = (0..buckets).map(|b| b as f64 / buckets as f64);
+                for edge in sampler.cdf.iter().copied().chain(floors) {
+                    for u in [edge.next_down(), edge, edge.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            let expected = binary_search_rank(&sampler.cdf, u);
+                            assert_eq!(sampler.rank(u), expected, "n {n}, s {exponent}, u {u}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn popular_lines_dominate() {
