@@ -12,7 +12,7 @@ use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, InclusionPolicy, TwoLevelHierarchy};
-use bandwall_trace::{TraceSource, ZipfTrace};
+use bandwall_trace::{materialize, MemoryAccess, ZipfTrace};
 
 const ACCESSES: usize = 150_000;
 
@@ -24,16 +24,21 @@ pub struct AblateInclusion {
 }
 
 impl AblateInclusion {
-    fn traffic(&self, inclusion: InclusionPolicy, working_set_lines: usize) -> u64 {
+    /// The stream all three inclusion policies replay at one working set.
+    fn stream(&self, working_set_lines: usize) -> Vec<MemoryAccess> {
+        let mut trace = ZipfTrace::builder(working_set_lines, 0.3)
+            .seed(self.seed)
+            .build();
+        materialize(&mut trace, ACCESSES)
+    }
+
+    fn traffic(&self, stream: &[MemoryAccess], inclusion: InclusionPolicy) -> u64 {
         let mut h = TwoLevelHierarchy::new(
             CacheConfig::new(8 << 10, 64, 4).expect("valid L1"), // 128 lines
             CacheConfig::new(32 << 10, 64, 8).expect("valid L2"), // 512 lines
         )
         .with_inclusion(inclusion);
-        let mut trace = ZipfTrace::builder(working_set_lines, 0.3)
-            .seed(self.seed)
-            .build();
-        for a in trace.iter().take(ACCESSES) {
+        for a in stream {
             h.access(a.address(), a.kind().is_write());
         }
         h.memory_traffic().total_bytes()
@@ -63,9 +68,10 @@ impl Experiment for AblateInclusion {
             "excl/incl",
         ]);
         for ws in [256usize, 512, 640, 768, 1024, 2048] {
-            let ni = self.traffic(InclusionPolicy::NonInclusive, ws);
-            let inc = self.traffic(InclusionPolicy::Inclusive, ws);
-            let exc = self.traffic(InclusionPolicy::Exclusive, ws);
+            let stream = self.stream(ws);
+            let ni = self.traffic(&stream, InclusionPolicy::NonInclusive);
+            let inc = self.traffic(&stream, InclusionPolicy::Inclusive);
+            let exc = self.traffic(&stream, InclusionPolicy::Exclusive);
             let ratio = exc as f64 / inc as f64;
             table.push_row(vec![
                 Value::fmt(format!("{} KB", ws * 64 / 1024), (ws * 64 / 1024) as f64),

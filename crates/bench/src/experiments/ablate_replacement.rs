@@ -5,14 +5,15 @@
 //! approximations. This experiment runs the same α = 0.5 workload through
 //! set-associative caches of several sizes under LRU, tree-PLRU, FIFO,
 //! and random replacement, fits α to each miss curve, and reports how
-//! much the approximation costs.
+//! much the approximation costs. The stream is generated once and
+//! replayed into all 24 caches.
 
 use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{Cache, CacheConfig, ReplacementPolicy};
 use bandwall_numerics::PowerLawFit;
-use bandwall_trace::{StackDistanceTrace, TraceSource};
+use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
 
 const ACCESSES: usize = 250_000;
 const WARMUP: usize = 50_000;
@@ -27,22 +28,28 @@ pub struct AblateReplacement {
 }
 
 impl AblateReplacement {
-    fn miss_rate(&self, policy: ReplacementPolicy, capacity: u64) -> f64 {
+    /// The warm-up accesses followed by the measured ones.
+    fn stream(&self) -> Vec<MemoryAccess> {
+        let mut trace = StackDistanceTrace::builder(0.5)
+            .seed(self.trace_seed)
+            .max_distance(1 << 15)
+            .build();
+        materialize(&mut trace, WARMUP + ACCESSES)
+    }
+
+    fn miss_rate(&self, stream: &[MemoryAccess], policy: ReplacementPolicy, capacity: u64) -> f64 {
         let config = CacheConfig::new(capacity, 64, 8)
             .expect("valid geometry")
             .with_policy(policy)
             .with_policy_seed(self.policy_seed);
         let mut cache = Cache::new(config);
-        let mut trace = StackDistanceTrace::builder(0.5)
-            .seed(self.trace_seed)
-            .max_distance(1 << 15)
-            .build();
-        for a in trace.iter().take(WARMUP) {
+        let (warmup, measured) = stream.split_at(WARMUP);
+        for a in warmup {
             cache.access(a.address(), a.kind().is_write());
         }
         let before = cache.stats().misses();
         let before_accesses = cache.stats().accesses();
-        for a in trace.iter().take(ACCESSES) {
+        for a in measured {
             cache.access(a.address(), a.kind().is_write());
         }
         (cache.stats().misses() - before) as f64
@@ -66,6 +73,7 @@ impl Experiment for AblateReplacement {
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let capacities: Vec<u64> = (13..=18).map(|i| 1u64 << i).collect(); // 8 KB..256 KB
+        let stream = self.stream();
         let mut table = TableBlock::new(&["policy", "fitted α", "R²", "miss@8K", "miss@256K"]);
         for policy in [
             ReplacementPolicy::Lru,
@@ -75,7 +83,7 @@ impl Experiment for AblateReplacement {
         ] {
             let rates: Vec<f64> = capacities
                 .iter()
-                .map(|&c| self.miss_rate(policy, c))
+                .map(|&c| self.miss_rate(&stream, policy, c))
                 .collect();
             let xs: Vec<f64> = capacities.iter().map(|&c| c as f64).collect();
             let fit = PowerLawFit::fit(&xs, &rates)?;

@@ -12,7 +12,7 @@ use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, CmpSystem, CoherentCmp, L2Organization};
-use bandwall_trace::{ParsecLikeTrace, TraceSource};
+use bandwall_trace::{materialize, MemoryAccess, ParsecLikeTrace};
 
 const CORES: u16 = 8;
 const ACCESSES: usize = 300_000;
@@ -25,11 +25,13 @@ pub struct CoherenceStudy {
 }
 
 impl CoherenceStudy {
-    fn trace(&self, shared_fraction: f64) -> ParsecLikeTrace {
-        ParsecLikeTrace::builder_with_regions(CORES, 2000, 1500)
+    /// The stream both organisations replay at one sharing fraction.
+    fn stream(&self, shared_fraction: f64) -> Vec<MemoryAccess> {
+        let mut trace = ParsecLikeTrace::builder_with_regions(CORES, 2000, 1500)
             .shared_access_fraction(shared_fraction)
             .seed(self.seed)
-            .build()
+            .build();
+        materialize(&mut trace, ACCESSES)
     }
 }
 
@@ -57,6 +59,7 @@ impl Experiment for CoherenceStudy {
             "c2c transfers",
         ]);
         for fsh in [0.0, 0.2, 0.4, 0.6] {
+            let stream = self.stream(fsh);
             // Shared L2: one 512 KB cache.
             let mut shared = CmpSystem::new(
                 CORES,
@@ -64,14 +67,12 @@ impl Experiment for CoherenceStudy {
                 CacheConfig::new(512 << 10, 64, 8).expect("valid L2"),
                 L2Organization::Shared,
             );
-            let mut t = self.trace(fsh);
-            for a in t.iter().take(ACCESSES) {
+            for &a in &stream {
                 shared.access(a);
             }
             // Private MSI: eight 64 KB caches (same total silicon).
             let mut private = CoherentCmp::new(CORES, CacheConfig::new(64 << 10, 64, 8).unwrap());
-            let mut t = self.trace(fsh);
-            for a in t.iter().take(ACCESSES) {
+            for &a in &stream {
                 private.access(a);
             }
             let s = shared.memory_traffic().total_bytes();

@@ -1,7 +1,8 @@
 //! Figure 1 — Normalized cache miss rate as a function of cache size.
 //!
 //! Runs the thirteen synthetic Figure 1 workloads (seven commercial, six
-//! SPEC-like) through the exact reuse-distance profiler, normalises each
+//! SPEC-like) through an exact fully-associative LRU probe
+//! (`MissRateProbe`, one capacity marker per cache size), normalises each
 //! miss-rate curve to its smallest cache size, and fits the power law
 //! `m = m0 · (C/C0)^-α` in log–log space.
 //!

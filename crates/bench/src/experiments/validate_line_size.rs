@@ -12,7 +12,7 @@ use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, TwoLevelHierarchy};
-use bandwall_trace::{StackDistanceTrace, TraceSource};
+use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
 
 const ACCESSES: usize = 250_000;
 
@@ -24,11 +24,8 @@ pub struct ValidateLineSize {
 }
 
 impl ValidateLineSize {
-    fn traffic_for_line_size(&self, line: u64) -> (u64, f64) {
-        let mut h = TwoLevelHierarchy::new(
-            CacheConfig::new(4 << 10, line, 2).expect("valid L1"),
-            CacheConfig::new(128 << 10, line, 8).expect("valid L2"),
-        );
+    /// The stream every line size replays.
+    fn stream(&self) -> Vec<MemoryAccess> {
         // Spatial locality limited to the first 2 words of each 64-byte
         // region, regardless of the cache's line size.
         let mut trace = StackDistanceTrace::builder(0.5)
@@ -37,11 +34,18 @@ impl ValidateLineSize {
             .touched_words(2)
             .max_distance(1 << 14)
             .build();
-        for a in trace.iter().take(ACCESSES) {
+        materialize(&mut trace, ACCESSES)
+    }
+
+    fn traffic_for_line_size(&self, stream: &[MemoryAccess], line: u64) -> u64 {
+        let mut h = TwoLevelHierarchy::new(
+            CacheConfig::new(4 << 10, line, 2).expect("valid L1"),
+            CacheConfig::new(128 << 10, line, 8).expect("valid L2"),
+        );
+        for a in stream {
             h.access_from(a.thread(), a.address(), a.kind().is_write());
         }
-        let bytes = h.memory_traffic().total_bytes();
-        (bytes, bytes as f64 / ACCESSES as f64)
+        h.memory_traffic().total_bytes()
     }
 }
 
@@ -61,9 +65,18 @@ impl Experiment for ValidateLineSize {
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let mut table = TableBlock::new(&["line size", "total traffic", "bytes/access", "vs 64 B"]);
-        let reference = self.traffic_for_line_size(64).0 as f64;
-        for line in [16u64, 32, 64, 128] {
-            let (bytes, per_access) = self.traffic_for_line_size(line);
+        let stream = self.stream();
+        let traffic: Vec<(u64, u64)> = [16u64, 32, 64, 128]
+            .into_iter()
+            .map(|line| (line, self.traffic_for_line_size(&stream, line)))
+            .collect();
+        let reference = traffic
+            .iter()
+            .find(|&&(line, _)| line == 64)
+            .expect("the 64 B configuration is simulated")
+            .1 as f64;
+        for (line, bytes) in traffic {
+            let per_access = bytes as f64 / ACCESSES as f64;
             let relative = bytes as f64 / reference;
             table.push_row(vec![
                 Value::fmt(format!("{line} B"), line as f64),

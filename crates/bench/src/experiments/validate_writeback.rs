@@ -11,7 +11,7 @@ use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, TwoLevelHierarchy};
-use bandwall_trace::{StackDistanceTrace, TraceSource};
+use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
 
 /// Write-back ratio validation on the two-level hierarchy simulator.
 #[derive(Debug, Clone)]
@@ -21,17 +21,22 @@ pub struct ValidateWriteback {
 }
 
 impl ValidateWriteback {
-    fn rwb(&self, l2_kb: u64, write_fraction: f64) -> (f64, f64) {
-        let mut h = TwoLevelHierarchy::new(
-            CacheConfig::new(4 << 10, 64, 2).expect("valid L1"),
-            CacheConfig::new(l2_kb << 10, 64, 8).expect("valid L2"),
-        );
+    /// The stream every L2 size replays at one write fraction.
+    fn stream(&self, write_fraction: f64) -> Vec<MemoryAccess> {
         let mut trace = StackDistanceTrace::builder(0.5)
             .seed(self.seed)
             .write_fraction(write_fraction)
             .max_distance(1 << 15)
             .build();
-        for a in trace.iter().take(300_000) {
+        materialize(&mut trace, 300_000)
+    }
+
+    fn rwb(&self, stream: &[MemoryAccess], l2_kb: u64) -> (f64, f64) {
+        let mut h = TwoLevelHierarchy::new(
+            CacheConfig::new(4 << 10, 64, 2).expect("valid L1"),
+            CacheConfig::new(l2_kb << 10, 64, 8).expect("valid L2"),
+        );
+        for a in stream {
             h.access_from(a.thread(), a.address(), a.kind().is_write());
         }
         (h.l2().stats().writeback_ratio(), h.l2().stats().miss_rate())
@@ -57,8 +62,9 @@ impl Experiment for ValidateWriteback {
             report.blank();
             report.note(format!("write fraction = {wf}"));
             let mut table = TableBlock::new(&["L2 size", "rwb (writebacks/miss)", "L2 miss rate"]);
+            let stream = self.stream(wf);
             for l2_kb in [16u64, 32, 64, 128, 256] {
-                let (ratio, miss) = self.rwb(l2_kb, wf);
+                let (ratio, miss) = self.rwb(&stream, l2_kb);
                 table.push_row(vec![
                     Value::fmt(format!("{l2_kb} KB"), l2_kb as f64),
                     Value::float(ratio, 3),

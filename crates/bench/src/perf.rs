@@ -20,8 +20,9 @@
 //!   snapshot records `host_parallelism` so readers can tell which).
 //! * `compress` — every cache-line compression engine over an identical
 //!   deterministic stream of commercial-profile lines.
-//! * `experiments` — end-to-end registry experiment runs (one analytic,
-//!   one simulator-backed).
+//! * `experiments` — end-to-end registry experiment runs: one analytic
+//!   figure and three simulator-backed experiments (Figures 1 and 14 and
+//!   the replacement ablation).
 //!
 //! All kernels are deterministic (fixed seeds), so run-to-run variance
 //! comes from the machine, not the workload.
@@ -479,8 +480,16 @@ fn compress_results(options: &BenchOptions) -> Vec<BenchResult> {
         .collect()
 }
 
+/// The registry experiments the `experiments` group times end to end.
+const TIMED_EXPERIMENTS: [&str; 4] = [
+    "fig01_power_law",
+    "fig02_traffic_vs_cores",
+    "fig14_parsec_sharing",
+    "ablate_replacement",
+];
+
 fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {
-    ["fig02_traffic_vs_cores", "fig14_parsec_sharing"]
+    TIMED_EXPERIMENTS
         .into_iter()
         .map(|id| {
             BenchResult::from_samples(

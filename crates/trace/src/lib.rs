@@ -15,9 +15,10 @@
 //! * [`ParsecLikeTrace`] — multithreaded traces with a constant shared
 //!   region plus per-thread private working sets (the Figure 14 workload).
 //! * [`suites`] — the calibrated Figure 1 workload suites.
-//! * [`ReuseDistanceProfiler`] / [`MissRateProbe`] — exact O(log n) LRU
-//!   reuse-distance profiling, giving miss rates at every cache size in
-//!   one pass.
+//! * [`ReuseDistanceProfiler`] / [`MissRateProbe`] — exact LRU
+//!   reuse-distance profiling: every access's distance in O(log n), or
+//!   the miss rates at a set of cache sizes in one pass, at one step per
+//!   size an access misses at.
 //! * [`values`] — deterministic line *payload* generation for the
 //!   compression studies.
 //! * [`TraceChunks`] / [`materialize`] — deterministic chunked

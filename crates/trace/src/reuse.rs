@@ -7,9 +7,14 @@
 //! pass, which is how the Figure 1 miss-rate curves are produced without
 //! simulating dozens of cache configurations.
 //!
-//! The profiler uses the classic Fenwick-tree (binary indexed tree)
-//! algorithm: O(log n) per access instead of the naive O(n) stack scan.
+//! Both tools here are exact. [`ReuseDistanceProfiler`] returns every
+//! access's reuse distance with the classic Fenwick-tree (binary indexed
+//! tree) algorithm: O(log n) per access instead of the naive O(n) stack
+//! scan. [`MissRateProbe`] needs only which of a fixed set of capacities
+//! an access misses at, so it walks an LRU list with one marker per
+//! capacity instead: one hash lookup plus one step per capacity missed.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Fenwick tree over the access timeline supporting point updates and
@@ -123,8 +128,21 @@ impl ReuseDistanceProfiler {
     }
 }
 
-/// Miss-rate probe: feeds a reuse-distance profiler and reports the miss
-/// rate a fully-associative LRU cache of each requested capacity would see.
+/// Marks the missing neighbour at either end of the probe's LRU list.
+const NONE: u32 = u32::MAX;
+
+/// Miss-rate probe: reports the miss rate a fully-associative LRU cache
+/// of each requested capacity would see.
+///
+/// The probe keeps one exact LRU list of every line seen (most recent
+/// first) and a *marker* per distinct capacity `c`, on the node at depth
+/// `c − 1`: the last line such a cache still holds. A node's *tier* is
+/// the number of capacities at or below its depth, so a re-reference
+/// misses at exactly the `tier` smallest capacities. Moving a node to the
+/// front shifts only the markers it had passed, one node toward the
+/// front, and each node a marker passes gains one tier. An access
+/// therefore costs one hash lookup plus one step per capacity it misses
+/// at, not a reuse-distance computation.
 ///
 /// # Examples
 ///
@@ -141,11 +159,28 @@ impl ReuseDistanceProfiler {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MissRateProbe {
-    profiler: ReuseDistanceProfiler,
     capacities: Vec<usize>,
-    misses: Vec<u64>,
-    warm_only: bool,
-    warm_accesses: u64,
+    /// Index into `sorted` of each supplied capacity.
+    slot: Vec<usize>,
+    /// The distinct capacities, ascending.
+    sorted: Vec<usize>,
+    /// The LRU list node of every line seen.
+    nodes: HashMap<u64, u32>,
+    /// Per node: its neighbour toward the front, toward the tail, and
+    /// its tier. A tier never exceeds its node's depth, so it fits `u32`
+    /// like the node ids, whatever the number of capacities.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    tier: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// Node at depth `sorted[i] − 1`, for each capacity the list has
+    /// already filled (a prefix of `sorted`).
+    markers: Vec<u32>,
+    /// Counted re-references by the tier of the line they touched.
+    tier_hits: Vec<u64>,
+    cold: u64,
+    accesses: usize,
     counted_from: usize,
 }
 
@@ -162,49 +197,122 @@ impl MissRateProbe {
             capacities.iter().all(|&c| c > 0),
             "capacities must be positive"
         );
+        let mut sorted = capacities.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let slot = capacities
+            .iter()
+            .map(|c| {
+                sorted
+                    .binary_search(c)
+                    .expect("every capacity is in the sorted set")
+            })
+            .collect();
         MissRateProbe {
-            profiler: ReuseDistanceProfiler::new(),
             capacities: capacities.to_vec(),
-            misses: vec![0; capacities.len()],
-            warm_only: false,
-            warm_accesses: 0,
+            slot,
+            tier_hits: vec![0; sorted.len() + 1],
+            sorted,
+            nodes: HashMap::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            tier: Vec::new(),
+            head: NONE,
+            tail: NONE,
+            markers: Vec::new(),
+            cold: 0,
+            accesses: 0,
             counted_from: 0,
         }
     }
 
-    /// Creates a probe that ignores cold (compulsory) misses entirely:
-    /// both the miss counts and the denominator cover only re-reference
-    /// accesses. This isolates the *capacity* misses the power law of
-    /// cache misses describes, which matters on traces short enough for
-    /// the compulsory floor to flatten the fitted exponent.
+    /// Records an access to `line`.
     ///
     /// # Panics
     ///
-    /// Same as [`MissRateProbe::new`].
-    pub fn warm_only(capacities: &[usize]) -> Self {
-        let mut probe = MissRateProbe::new(capacities);
-        probe.warm_only = true;
-        probe
+    /// Panics on a new line once `u32::MAX` distinct lines have been
+    /// seen.
+    pub fn observe(&mut self, line: u64) {
+        self.accesses += 1;
+        let fresh = self.prev.len();
+        let seen = match self.nodes.entry(line) {
+            Entry::Occupied(node) => Some(*node.get()),
+            Entry::Vacant(slot) => {
+                assert!(
+                    fresh < NONE as usize,
+                    "probe holds at most u32::MAX distinct lines"
+                );
+                slot.insert(fresh as u32);
+                None
+            }
+        };
+        match seen {
+            Some(node) => self.touch(node),
+            None => self.push_cold(),
+        }
     }
 
-    /// Records an access to `line`.
-    pub fn observe(&mut self, line: u64) {
-        match self.profiler.observe(line) {
-            None => {
-                if !self.warm_only {
-                    for m in &mut self.misses {
-                        *m += 1;
-                    }
-                }
-            }
-            Some(d) => {
-                self.warm_accesses += 1;
-                for (i, &c) in self.capacities.iter().enumerate() {
-                    if d >= c {
-                        self.misses[i] += 1;
-                    }
-                }
-            }
+    /// Moves a seen line's node to the front.
+    fn touch(&mut self, node: u32) {
+        let n = node as usize;
+        let tier = self.tier[n] as usize;
+        self.tier_hits[tier] += 1;
+        if node == self.head {
+            return;
+        }
+        // The first marker the node had not passed may sit on it; its
+        // depth is refilled by the node's predecessor, read here because
+        // relinking overwrites `prev`.
+        if self.markers.get(tier) == Some(&node) {
+            self.markers[tier] = self.prev[n];
+        }
+        let (p, q) = (self.prev[n], self.next[n]);
+        self.next[p as usize] = q;
+        if q == NONE {
+            self.tail = p;
+        } else {
+            self.prev[q as usize] = p;
+        }
+        self.link_front(node);
+        self.tier[n] = 0;
+        self.shift_markers(tier);
+    }
+
+    /// Appends a first-touched line's node at the front.
+    fn push_cold(&mut self) {
+        self.cold += 1;
+        let node = self.prev.len() as u32;
+        self.prev.push(NONE);
+        self.next.push(NONE);
+        self.tier.push(0);
+        if self.head == NONE {
+            self.head = node;
+            self.tail = node;
+        } else {
+            self.link_front(node);
+        }
+        self.shift_markers(self.markers.len());
+        let filled = self.markers.len();
+        if self.sorted.get(filled) == Some(&self.prev.len()) {
+            self.markers.push(self.tail);
+        }
+    }
+
+    fn link_front(&mut self, node: u32) {
+        self.prev[node as usize] = NONE;
+        self.next[node as usize] = self.head;
+        self.prev[self.head as usize] = node;
+        self.head = node;
+    }
+
+    /// Moves the first `count` markers one node toward the front: the
+    /// nodes they leave fell past them. Called after a node was linked at
+    /// the front, so a capacity-1 marker lands on that node.
+    fn shift_markers(&mut self, count: usize) {
+        for marker in &mut self.markers[..count] {
+            let passed = *marker as usize;
+            self.tier[passed] += 1;
+            *marker = self.prev[passed];
         }
     }
 
@@ -217,29 +325,33 @@ impl MissRateProbe {
     ///
     /// Returns all-zero rates before any access is observed.
     pub fn miss_rates(&self) -> Vec<f64> {
-        let denominator = if self.warm_only {
-            self.warm_accesses.max(1) as f64
-        } else {
-            (self.profiler.accesses() - self.counted_from).max(1) as f64
-        };
-        self.misses
+        let denominator = (self.accesses - self.counted_from).max(1) as f64;
+        // The `i`-th smallest capacity misses every cold access and every
+        // re-reference of a tier above `i`.
+        let mut misses = vec![0u64; self.sorted.len()];
+        let mut total = self.cold;
+        for i in (0..self.sorted.len()).rev() {
+            total += self.tier_hits[i + 1];
+            misses[i] = total;
+        }
+        self.slot
             .iter()
-            .map(|&m| m as f64 / denominator)
+            .map(|&i| misses[i] as f64 / denominator)
             .collect()
     }
 
     /// Number of accesses observed so far (including cold ones).
     pub fn accesses(&self) -> usize {
-        self.profiler.accesses()
+        self.accesses
     }
 
-    /// Clears the miss and access counters while keeping the underlying
-    /// reuse-distance history — call after a warm-up phase so the reported
-    /// rates cover only the steady state.
+    /// Clears the miss and access counters while keeping the LRU
+    /// history — call after a warm-up phase so the reported rates cover
+    /// only the steady state.
     pub fn reset_counts(&mut self) {
-        self.misses.iter_mut().for_each(|m| *m = 0);
-        self.warm_accesses = 0;
-        self.counted_from = self.profiler.accesses();
+        self.tier_hits.iter_mut().for_each(|h| *h = 0);
+        self.cold = 0;
+        self.counted_from = self.accesses;
     }
 }
 

@@ -78,8 +78,9 @@ impl StackDistanceTraceBuilder {
     }
 
     /// Footprint and truncation depth of the LRU stack (default 2²⁰
-    /// lines). Sampled distances beyond this touch the least-recently-used
-    /// line, acting as streaming misses at every realistic cache size.
+    /// lines, at most 2³²). Sampled distances beyond this touch the
+    /// least-recently-used line, acting as streaming misses at every
+    /// realistic cache size.
     #[must_use]
     pub fn max_distance(mut self, lines: usize) -> Self {
         self.max_distance = lines;
@@ -108,8 +109,9 @@ impl StackDistanceTraceBuilder {
     ///
     /// Panics if `alpha` is not positive, `line_size` is not a power of two
     /// of at least 8 bytes, `write_fraction` is outside `[0, 1]`,
-    /// `min_distance` is 0, `max_distance < min_distance`, or
-    /// `touched_words` is 0 or exceeds the words per line.
+    /// `min_distance` is 0, `max_distance < min_distance`, `max_distance`
+    /// exceeds 2³² (line ids are stored as `u32`), or `touched_words` is 0
+    /// or exceeds the words per line.
     pub fn build(self) -> StackDistanceTrace {
         assert!(self.alpha > 0.0, "alpha must be positive");
         assert!(
@@ -125,6 +127,10 @@ impl StackDistanceTraceBuilder {
             self.max_distance >= self.min_distance,
             "max distance must be at least min distance"
         );
+        assert!(
+            self.max_distance as u64 <= 1 << 32,
+            "max distance must be at most 2^32"
+        );
         let words_per_line = (self.line_size / 8) as u32;
         assert!(
             self.touched_words >= 1 && self.touched_words <= words_per_line,
@@ -134,7 +140,7 @@ impl StackDistanceTraceBuilder {
         // is stationary from the first access: every sampled depth hits an
         // existing line and the miss process at cache size C is exactly
         // P(distance >= C) — a truncated Pareto.
-        let stack: VecDeque<u64> = (0..self.max_distance as u64).collect();
+        let stack: VecDeque<u32> = (0..self.max_distance).map(|line| line as u32).collect();
         StackDistanceTrace {
             alpha: self.alpha,
             line_size: self.line_size,
@@ -176,8 +182,9 @@ pub struct StackDistanceTrace {
     rng: Rng,
     /// LRU stack of line ids, most recent first, pre-populated with the
     /// whole footprint. A `VecDeque` keeps the hot path (move-to-front
-    /// from a shallow depth) cheap at both ends.
-    stack: VecDeque<u64>,
+    /// from a shallow depth) cheap at both ends, and `u32` ids halve the
+    /// bytes each `remove(depth)` shifts.
+    stack: VecDeque<u32>,
 }
 
 impl StackDistanceTrace {
@@ -224,7 +231,7 @@ impl StackDistanceTrace {
     /// observe this trace's line addresses (`address / line_size`).
     pub fn warm_probe(&self, probe: &mut crate::reuse::MissRateProbe) {
         for &line in self.stack.iter().rev() {
-            probe.observe(line);
+            probe.observe(u64::from(line));
         }
         probe.reset_counts();
     }
@@ -252,7 +259,7 @@ impl TraceSource for StackDistanceTrace {
             .expect("sampled depth is clamped to the stack length");
         self.stack.push_front(line);
         let word = self.rng.gen_range(0..self.touched_words) as u64;
-        let address = line * self.line_size + word * 8;
+        let address = u64::from(line) * self.line_size + word * 8;
         let kind = if self.rng.gen_f64() < self.write_fraction {
             AccessKind::Write
         } else {
@@ -389,6 +396,59 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn invalid_line_size_panics() {
         StackDistanceTrace::builder(0.5).line_size(48).build();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "at most 2^32")]
+    fn footprint_beyond_u32_line_ids_panics() {
+        StackDistanceTrace::builder(0.5)
+            .max_distance((1 << 32) + 1)
+            .build();
+    }
+
+    /// FNV-1a over the first 200k accesses of a stack-distance stream.
+    fn digest(mut trace: StackDistanceTrace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for a in trace.iter().take(200_000) {
+            let words = [
+                a.address(),
+                u64::from(a.thread()),
+                u64::from(a.kind().is_write()),
+            ];
+            for word in words {
+                h = (h ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the seven Figure 1 commercial streams (seed 2026) and the
+    /// replacement ablation's stream, so a change to the generator or its
+    /// LRU stack fails here and not only in the golden reports.
+    #[test]
+    fn commercial_streams_are_pinned() {
+        let expected = [
+            0xeb25_6217_1b9d_892a,
+            0x9e18_f9ac_f01c_cb59,
+            0x609e_9773_371a_8fb9,
+            0x8b12_c5eb_0bcd_c667,
+            0xa465_8dfc_20d1_d3bc,
+            0x6d67_f417_d6db_5193,
+            0x4460_b3d1_b3c4_4a80,
+        ];
+        for (trace, expected) in crate::suites::commercial_suite(2026)
+            .into_iter()
+            .zip(expected)
+        {
+            let name = trace.name().to_string();
+            assert_eq!(digest(trace), expected, "{name}");
+        }
+        let ablation = StackDistanceTrace::builder(0.5)
+            .seed(31)
+            .max_distance(1 << 15)
+            .build();
+        assert_eq!(digest(ablation), 0xb27b_9674_44ed_5d0f);
     }
 
     #[test]

@@ -99,6 +99,60 @@ fn probe_monotone() {
     }
 }
 
+/// The capacity-marker probe reports, bit for bit, the miss rates that
+/// the exact reuse distances of [`ReuseDistanceProfiler`] imply, for any
+/// capacity list (unsorted, duplicated, beyond the footprint) and across
+/// `reset_counts`.
+#[test]
+fn probe_matches_profiler() {
+    let capacity_sets: [&[usize]; 4] = [
+        &[1],
+        &[1, 2, 4, 8, 16, 32, 64],
+        &[7, 3, 3, 50, 1],
+        // Around and beyond each stream's footprint.
+        &[4, 5, 6, 65, 301, 10_001, 1 << 20],
+    ];
+    let mut rng = Rng::seed_from_u64(406);
+    for range in [5u64, 64, 300, 10_000] {
+        for caps in capacity_sets {
+            let mut stream = Rng::seed_from_u64(rng.next_u64());
+            let mut probe = MissRateProbe::new(caps);
+            let mut profiler = ReuseDistanceProfiler::new();
+            let mut misses = vec![0u64; caps.len()];
+            let mut counted = 0u64;
+            for i in 0..20_000 {
+                // Half uniform, half skewed toward low lines, so reuse
+                // distances span the whole stack.
+                let line = if stream.gen_bool(0.5) {
+                    stream.gen_range(0..range)
+                } else {
+                    (range as f64 * stream.gen_f64().powi(4)) as u64
+                };
+                probe.observe(line);
+                let distance = profiler.observe(line);
+                counted += 1;
+                for (m, &c) in misses.iter_mut().zip(caps) {
+                    if distance.is_none_or(|d| d >= c) {
+                        *m += 1;
+                    }
+                }
+                if i == 6_000 {
+                    probe.reset_counts();
+                    misses.fill(0);
+                    counted = 0;
+                }
+                let expected: Vec<u64> = misses
+                    .iter()
+                    .map(|&m| (m as f64 / counted.max(1) as f64).to_bits())
+                    .collect();
+                let rates: Vec<u64> = probe.miss_rates().iter().map(|r| r.to_bits()).collect();
+                assert_eq!(rates, expected, "caps {caps:?}, range {range}, access {i}");
+                assert_eq!(probe.accesses(), i + 1);
+            }
+        }
+    }
+}
+
 /// Write fractions are honoured within sampling tolerance.
 #[test]
 fn write_fraction_respected() {
