@@ -1,7 +1,4 @@
-//! `bandwall` — the unified experiment runner.
-//!
-//! One binary over the whole registry, replacing 29 per-figure binaries
-//! for day-to-day use (those remain as thin aliases):
+//! `bandwall` — the one binary over the whole experiment registry:
 //!
 //! ```text
 //! bandwall list                         # every experiment id + title
@@ -11,6 +8,8 @@
 //! bandwall run --all --jobs 8           # run experiments concurrently
 //! bandwall run --all --seed 7           # re-seed every simulation
 //! bandwall run --all --timeout 120      # per-experiment deadline
+//! bandwall bench --quick                # the benchmark harness
+//! bandwall serve --addr 127.0.0.1:8787  # the model-query service
 //! ```
 //!
 //! Experiments run concurrently (`--jobs`, default: available
@@ -33,7 +32,7 @@ use std::time::Duration;
 
 use bandwall_experiments::error::ExperimentError;
 use bandwall_experiments::fault::ChaosSpec;
-use bandwall_experiments::perf::{run_group, BenchGroup, BenchOptions, GROUPS};
+use bandwall_experiments::perf::{host_parallelism, run_group, BenchGroup, BenchOptions, GROUPS};
 use bandwall_experiments::registry::{registry_with_seed, Experiment};
 use bandwall_experiments::report::Report;
 use bandwall_experiments::serve::loadgen::{
@@ -64,7 +63,7 @@ OPTIONS:
                                 count)
     --seed <N>                  derive a fresh seed for every seeded
                                 experiment (default: historical seeds,
-                                byte-compatible with the legacy binaries)
+                                byte-compatible with the golden reports)
     --timeout <SECS>            per-experiment wall-clock deadline; an
                                 overrunning experiment becomes a failure
                                 report (default: no deadline)
@@ -140,8 +139,9 @@ EXIT STATUS:
     0 when every selected experiment succeeds, 1 when any fails.
 ";
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum Format {
+    #[default]
     Ascii,
     Csv,
     Json,
@@ -174,7 +174,7 @@ impl Format {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RunArgs {
     ids: Vec<String>,
     all: bool,
@@ -186,55 +186,137 @@ struct RunArgs {
     fail_fast: bool,
 }
 
+/// One subcommand's argv, read token by token. It owns every rule the
+/// subcommands share, so their messages cannot drift apart: a missing
+/// value, a malformed value, counts of at least 1, `--floor ID=RATE`,
+/// unknown option vs unexpected argument, and the `--quick` preset.
+struct Argv<'a> {
+    tokens: std::iter::Peekable<std::slice::Iter<'a, String>>,
+    /// The token last returned by [`Argv::next_arg`], named in errors.
+    flag: &'a str,
+    /// Whether `--quick` appears anywhere in argv.
+    quick: bool,
+}
+
+impl<'a> Argv<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Argv {
+            tokens: args.iter().peekable(),
+            flag: "",
+            quick: args.iter().any(|a| a == "--quick"),
+        }
+    }
+
+    /// The next flag or positional argument.
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.flag = self.tokens.next()?;
+        Some(self.flag)
+    }
+
+    /// The `quick` preset when `--quick` appears anywhere in argv, else
+    /// `standard`: the preset applies first, so explicit flags override
+    /// it wherever they stand.
+    fn preset<T>(&self, standard: T, quick: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            standard
+        }
+    }
+
+    /// The current flag's value; `what` completes "{flag} needs ...".
+    fn value(&mut self, what: &str) -> Result<&'a str, String> {
+        self.tokens
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("{} needs {what}", self.flag))
+    }
+
+    /// The current flag's value, read by `parse`, which words its own
+    /// errors.
+    fn with<T>(&mut self, what: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+        parse(self.value(what)?)
+    }
+
+    /// Like [`Argv::with`], but the value is optional: `default` when
+    /// the next token is missing or is itself a flag.
+    fn optional<T>(
+        &mut self,
+        default: T,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.tokens
+            .next_if(|v| !v.starts_with('-'))
+            .map_or(Ok(default), |v| parse(v))
+    }
+
+    /// The current flag's value, parsed with `FromStr`.
+    fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
+        let v = self.value(what)?;
+        v.parse()
+            .map_err(|_| format!("bad {} value '{v}'", self.flag))
+    }
+
+    /// A count of at least 1; `unit` ends the "must be at least 1" error.
+    fn at_least_one<T>(&mut self, what: &str, unit: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let n: T = self.parse(what)?;
+        if n == T::default() {
+            return Err(format!("{} must be at least 1{unit}", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// A count of at least 1.
+    fn count<T>(&mut self, what: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        self.at_least_one(what, "")
+    }
+
+    /// A `--floor ID=RATE` gate: a finite, positive rate.
+    fn floor(&mut self) -> Result<(String, f64), String> {
+        let v = self.value("ID=RATE")?;
+        let (id, rate) = v
+            .split_once('=')
+            .ok_or_else(|| format!("bad --floor '{v}' (expected ID=RATE)"))?;
+        let rate: f64 = rate
+            .parse()
+            .map_err(|_| format!("bad --floor rate '{rate}'"))?;
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err("--floor rate must be positive".into());
+        }
+        Ok((id.to_string(), rate))
+    }
+
+    /// The error for a token no arm of the subcommand took.
+    fn unexpected(&self) -> String {
+        if self.flag.starts_with('-') {
+            format!("unknown option '{}'", self.flag)
+        } else {
+            format!("unexpected argument '{}'", self.flag)
+        }
+    }
+}
+
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut run = RunArgs {
-        ids: Vec::new(),
-        all: false,
-        format: Format::Ascii,
-        out: None,
-        jobs: None,
-        seed: None,
-        timeout: None,
-        fail_fast: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut run = RunArgs::default();
+    let mut a = Argv::new(args);
+    while let Some(arg) = a.next_arg() {
+        match arg {
             "--all" => run.all = true,
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                run.format = Format::parse(v)?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                run.out = Some(v.into());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs value '{v}'"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                run.jobs = Some(n);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                run.seed = Some(v.parse().map_err(|_| format!("bad --seed value '{v}'"))?);
-            }
-            "--timeout" => {
-                let v = it.next().ok_or("--timeout needs a value in seconds")?;
-                let secs: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --timeout value '{v}'"))?;
-                if secs == 0 {
-                    return Err("--timeout must be at least 1 second".into());
-                }
-                run.timeout = Some(secs);
-            }
+            "--format" => run.format = a.with("a value", Format::parse)?,
+            "--out" => run.out = Some(a.value("a directory")?.into()),
+            "--jobs" => run.jobs = Some(a.count("a count")?),
+            "--seed" => run.seed = Some(a.parse("a value")?),
+            "--timeout" => run.timeout = Some(a.at_least_one("a value in seconds", " second")?),
             "--fail-fast" => run.fail_fast = true,
             "--keep-going" => run.fail_fast = false,
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            id => run.ids.push(id.to_string()),
+            id if !id.starts_with('-') => run.ids.push(id.to_string()),
+            _ => return Err(a.unexpected()),
         }
     }
     if run.all && !run.ids.is_empty() {
@@ -427,35 +509,33 @@ fn cmd_list() {
     }
 }
 
+/// The experiments `run` names, in argv order, or the whole registry for
+/// `--all`. Each id must be known and named once.
+fn select(run: &RunArgs) -> Result<Vec<Arc<dyn Experiment>>, String> {
+    let reg = registry_with_seed(run.seed).into_iter().map(Arc::from);
+    if run.all {
+        return Ok(reg.collect());
+    }
+    let reg: Vec<Arc<dyn Experiment>> = reg.collect();
+    let mut picked: Vec<Arc<dyn Experiment>> = Vec::with_capacity(run.ids.len());
+    for id in &run.ids {
+        let experiment = reg
+            .iter()
+            .find(|e| e.id() == id)
+            .ok_or_else(|| format!("unknown experiment id '{id}' (see `bandwall list`)"))?;
+        if picked.iter().any(|e| e.id() == id) {
+            return Err(format!("experiment id '{id}' is repeated"));
+        }
+        picked.push(Arc::clone(experiment));
+    }
+    Ok(picked)
+}
+
 /// Runs the selected experiments; `Ok(true)` means at least one failed.
 fn cmd_run(args: &[String]) -> Result<bool, String> {
     let run = parse_run_args(args)?;
-    let reg = registry_with_seed(run.seed);
-    let selected: Vec<Arc<dyn Experiment>> = if run.all {
-        reg.into_iter().map(Arc::from).collect()
-    } else {
-        let mut by_id: Vec<Option<Box<dyn Experiment>>> = reg.into_iter().map(Some).collect();
-        let mut picked = Vec::new();
-        for id in &run.ids {
-            let found = by_id
-                .iter_mut()
-                .find(|slot| slot.as_deref().is_some_and(|e| e.id() == id));
-            match found {
-                Some(slot) => picked.push(Arc::from(slot.take().unwrap())),
-                None => {
-                    return Err(format!(
-                        "unknown experiment id '{id}' (see `bandwall list`)"
-                    ))
-                }
-            }
-        }
-        picked
-    };
-    let jobs = run.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    });
+    let selected = select(&run)?;
+    let jobs = run.jobs.unwrap_or_else(host_parallelism);
     let timeout = run.timeout.map(Duration::from_secs);
     let reports = run_parallel(&selected, jobs, timeout, run.fail_fast);
     emit(&reports, run.format, run.out.as_deref())?;
@@ -475,7 +555,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     Ok(failed > 0 || skipped > 0)
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BenchArgs {
     groups: Vec<String>,
     list: bool,
@@ -487,70 +567,24 @@ struct BenchArgs {
 }
 
 fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
+    let mut a = Argv::new(args);
     let mut bench = BenchArgs {
-        groups: Vec::new(),
-        list: false,
-        options: BenchOptions::standard(),
-        format: Format::Ascii,
-        out: None,
-        snapshot: None,
-        floors: Vec::new(),
+        options: a.preset(BenchOptions::standard(), BenchOptions::quick()),
+        ..BenchArgs::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(arg) = a.next_arg() {
+        match arg {
             "--list" => bench.list = true,
-            "--quick" => bench.options = BenchOptions::quick(),
-            "--warmup" => {
-                let v = it.next().ok_or("--warmup needs a count")?;
-                bench.options.warmup =
-                    v.parse().map_err(|_| format!("bad --warmup value '{v}'"))?;
-            }
-            "--iters" => {
-                let v = it.next().ok_or("--iters needs a count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --iters value '{v}'"))?;
-                if n == 0 {
-                    return Err("--iters must be at least 1".into());
-                }
-                bench.options.iters = n;
-            }
-            "--accesses" => {
-                let v = it.next().ok_or("--accesses needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --accesses value '{v}'"))?;
-                if n == 0 {
-                    return Err("--accesses must be at least 1".into());
-                }
-                bench.options.accesses = n;
-            }
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                bench.format = Format::parse(v)?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                bench.out = Some(v.into());
-            }
-            "--snapshot" => {
-                let v = it.next().ok_or("--snapshot needs a directory")?;
-                bench.snapshot = Some(v.into());
-            }
-            "--floor" => {
-                let v = it.next().ok_or("--floor needs ID=RATE")?;
-                let (id, rate) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --floor '{v}' (expected ID=RATE)"))?;
-                let rate: f64 = rate
-                    .parse()
-                    .map_err(|_| format!("bad --floor rate '{rate}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err("--floor rate must be positive".into());
-                }
-                bench.floors.push((id.to_string(), rate));
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            group => bench.groups.push(group.to_string()),
+            "--quick" => {} // applied first, by `Argv::preset`
+            "--warmup" => bench.options.warmup = a.parse("a count")?,
+            "--iters" => bench.options.iters = a.count("a count")?,
+            "--accesses" => bench.options.accesses = a.count("a count")?,
+            "--format" => bench.format = a.with("a value", Format::parse)?,
+            "--out" => bench.out = Some(a.value("a directory")?.into()),
+            "--snapshot" => bench.snapshot = Some(a.value("a directory")?.into()),
+            "--floor" => bench.floors.push(a.floor()?),
+            group if !group.starts_with('-') => bench.groups.push(group.to_string()),
+            _ => return Err(a.unexpected()),
         }
     }
     for group in &bench.groups {
@@ -655,89 +689,24 @@ mod signals {
     pub fn install() {}
 }
 
-#[derive(Debug)]
-struct ServeArgs {
-    config: ServeConfig,
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
+fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs HOST:PORT")?;
-                config.addr = v.clone();
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --workers value '{v}'"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                config.workers = n;
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards value '{v}'"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                config.shards = n;
-            }
-            "--queue" => {
-                let v = it.next().ok_or("--queue needs a capacity")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --queue value '{v}'"))?;
-                if n == 0 {
-                    return Err("--queue must be at least 1".into());
-                }
-                config.queue_capacity = n;
-            }
-            "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a value")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --deadline-ms value '{v}'"))?;
-                if ms == 0 {
-                    return Err("--deadline-ms must be at least 1".into());
-                }
-                config.deadline = Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let v = it.next().ok_or("--read-timeout-ms needs a value")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --read-timeout-ms value '{v}'"))?;
-                if ms == 0 {
-                    return Err("--read-timeout-ms must be at least 1".into());
-                }
-                config.read_timeout = Duration::from_millis(ms);
-            }
-            "--cache-capacity" => {
-                let v = it.next().ok_or("--cache-capacity needs a count")?;
-                config.cache_capacity = v
-                    .parse()
-                    .map_err(|_| format!("bad --cache-capacity value '{v}'"))?;
-            }
-            "--chaos" => {
-                // The spec value is optional: a bare `--chaos` means the
-                // standard spec; anything not starting with `-` is parsed.
-                let spec = match it.peek() {
-                    Some(v) if !v.starts_with('-') => {
-                        let v = it.next().expect("peeked value");
-                        ChaosSpec::parse(v)?
-                    }
-                    _ => ChaosSpec::standard(),
-                };
-                config.chaos = Some(spec);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            other => return Err(format!("unexpected argument '{other}'")),
+    let mut a = Argv::new(args);
+    while let Some(arg) = a.next_arg() {
+        match arg {
+            "--addr" => config.addr = a.value("HOST:PORT")?.to_string(),
+            "--workers" => config.workers = a.count("a count")?,
+            "--shards" => config.shards = a.count("a count")?,
+            "--queue" => config.queue_capacity = a.count("a capacity")?,
+            "--deadline-ms" => config.deadline = Duration::from_millis(a.count("a value")?),
+            "--read-timeout-ms" => config.read_timeout = Duration::from_millis(a.count("a value")?),
+            "--cache-capacity" => config.cache_capacity = a.parse("a count")?,
+            // A bare `--chaos` means the standard spec.
+            "--chaos" => config.chaos = Some(a.optional(ChaosSpec::standard(), ChaosSpec::parse)?),
+            _ => return Err(a.unexpected()),
         }
     }
-    Ok(ServeArgs { config })
+    Ok(config)
 }
 
 /// Renders the final serve counters as one JSON line for scripts.
@@ -762,10 +731,10 @@ fn stats_json(stats: &StatsSnapshot) -> String {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let serve = parse_serve_args(args)?;
+    let config = parse_serve_args(args)?;
     signals::install();
-    let chaos = serve.config.chaos.is_some();
-    let server = Server::start(serve.config).map_err(|e| format!("starting server: {e}"))?;
+    let chaos = config.chaos.is_some();
+    let server = Server::start(config).map_err(|e| format!("starting server: {e}"))?;
     eprintln!(
         "bandwall: serving on {}{} (SIGTERM/SIGINT to drain)",
         server.addr(),
@@ -796,82 +765,33 @@ struct LoadgenArgs {
 }
 
 fn parse_loadgen_args(args: &[String]) -> Result<LoadgenArgs, String> {
+    let mut a = Argv::new(args);
     let mut loadgen = LoadgenArgs {
         addr: "127.0.0.1:8787".to_string(),
-        options: LoadgenOptions::standard(),
+        options: a.preset(LoadgenOptions::standard(), LoadgenOptions::quick()),
         format: Format::Ascii,
         out: None,
         snapshot: None,
         floors: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs HOST:PORT")?;
-                loadgen.addr = v.clone();
-            }
-            "--quick" => {
-                let (endpoint, mix) = (loadgen.options.endpoint, loadgen.options.mix);
-                loadgen.options = LoadgenOptions::quick();
-                loadgen.options.endpoint = endpoint;
-                loadgen.options.mix = mix;
-            }
+    while let Some(arg) = a.next_arg() {
+        match arg {
+            "--addr" => loadgen.addr = a.value("HOST:PORT")?.to_string(),
+            "--quick" => {} // applied first, by `Argv::preset`
             "--endpoint" => {
-                let v = it.next().ok_or("--endpoint needs a value")?;
-                loadgen.options.endpoint = EndpointSelection::parse(v)?;
+                loadgen.options.endpoint = a.with("a value", EndpointSelection::parse)?
             }
             "--mix" => {
-                let v = it.next().ok_or("--mix needs a spec like solve=7,sweep=2")?;
-                loadgen.options.mix = Some(MixWeights::parse(v)?);
+                loadgen.options.mix =
+                    Some(a.with("a spec like solve=7,sweep=2", MixWeights::parse)?)
             }
-            "--floor" => {
-                let v = it.next().ok_or("--floor needs ID=RATE")?;
-                let (id, rate) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --floor '{v}' (expected ID=RATE)"))?;
-                let rate: f64 = rate
-                    .parse()
-                    .map_err(|_| format!("bad --floor rate '{rate}'"))?;
-                if rate <= 0.0 {
-                    return Err("--floor rate must be positive".into());
-                }
-                loadgen.floors.push((id.to_string(), rate));
-            }
-            "--connections" => {
-                let v = it.next().ok_or("--connections needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --connections value '{v}'"))?;
-                if n == 0 {
-                    return Err("--connections must be at least 1".into());
-                }
-                loadgen.options.connections = n;
-            }
-            "--requests" => {
-                let v = it.next().ok_or("--requests needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --requests value '{v}'"))?;
-                if n == 0 {
-                    return Err("--requests must be at least 1".into());
-                }
-                loadgen.options.requests = n;
-            }
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                loadgen.format = Format::parse(v)?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                loadgen.out = Some(v.into());
-            }
-            "--snapshot" => {
-                let v = it.next().ok_or("--snapshot needs a directory")?;
-                loadgen.snapshot = Some(v.into());
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            other => return Err(format!("unexpected argument '{other}'")),
+            "--floor" => loadgen.floors.push(a.floor()?),
+            "--connections" => loadgen.options.connections = a.count("a count")?,
+            "--requests" => loadgen.options.requests = a.count("a count")?,
+            "--format" => loadgen.format = a.with("a value", Format::parse)?,
+            "--out" => loadgen.out = Some(a.value("a directory")?.into()),
+            "--snapshot" => loadgen.snapshot = Some(a.value("a directory")?.into()),
+            _ => return Err(a.unexpected()),
         }
     }
     Ok(loadgen)
@@ -902,9 +822,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             iters: loadgen.options.requests,
             accesses: loadgen.options.requests * loadgen.options.connections,
         },
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
+        host_parallelism: host_parallelism(),
         results,
     };
     if let Some(dir) = &loadgen.snapshot {
@@ -921,46 +839,28 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let rest = args.get(1..).unwrap_or_default();
+    // `Ok(true)`: the command ran, but some experiment failed.
+    let outcome = match args.first().map(String::as_str) {
         Some("list") => {
             cmd_list();
-            ExitCode::SUCCESS
+            Ok(false)
         }
-        Some("run") => match cmd_run(&args[1..]) {
-            Ok(false) => ExitCode::SUCCESS,
-            Ok(true) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("bandwall: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("bench") => match cmd_bench(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bandwall: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("serve") => match cmd_serve(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bandwall: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("loadgen") => match cmd_loadgen(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bandwall: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Some("run") => cmd_run(rest),
+        Some("bench") => cmd_bench(rest).map(|()| false),
+        Some("serve") => cmd_serve(rest).map(|()| false),
+        Some("loadgen") => cmd_loadgen(rest).map(|()| false),
         Some("-h" | "--help") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(false)
         }
-        Some(other) => {
-            eprintln!("bandwall: unknown command '{other}'\n\n{USAGE}");
+        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    };
+    match outcome {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("bandwall: {e}");
             ExitCode::FAILURE
         }
     }
@@ -1004,45 +904,6 @@ mod tests {
         assert!(!run.fail_fast);
         let run = parse_run_args(&args(&["--all", "--fail-fast", "--keep-going"])).unwrap();
         assert!(!run.fail_fast);
-    }
-
-    #[test]
-    fn rejects_jobs_zero() {
-        let err = parse_run_args(&args(&["--all", "--jobs", "0"])).unwrap_err();
-        assert!(err.contains("--jobs must be at least 1"));
-    }
-
-    #[test]
-    fn rejects_timeout_zero() {
-        let err = parse_run_args(&args(&["--all", "--timeout", "0"])).unwrap_err();
-        assert!(err.contains("--timeout must be at least 1 second"));
-    }
-
-    #[test]
-    fn rejects_unknown_format() {
-        let err = parse_run_args(&args(&["--all", "--format", "yaml"])).unwrap_err();
-        assert!(err.contains("unknown format 'yaml'"));
-    }
-
-    #[test]
-    fn rejects_all_mixed_with_ids() {
-        let err = parse_run_args(&args(&["--all", "fig01_power_law"])).unwrap_err();
-        assert!(err.contains("not both"));
-    }
-
-    #[test]
-    fn rejects_empty_selection_and_missing_values() {
-        assert!(parse_run_args(&[]).unwrap_err().contains("nothing to run"));
-        for flag in ["--format", "--out", "--jobs", "--seed", "--timeout"] {
-            let err = parse_run_args(&args(&["--all", flag])).unwrap_err();
-            assert!(err.contains(flag), "missing-value error for {flag}: {err}");
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_option() {
-        let err = parse_run_args(&args(&["--all", "--frmat", "json"])).unwrap_err();
-        assert!(err.contains("unknown option '--frmat'"));
     }
 
     struct Panicker;
@@ -1156,27 +1017,13 @@ mod tests {
 
     #[test]
     fn bench_quick_preset_and_overrides_compose() {
-        // --quick then --iters: the explicit flag wins.
-        let bench = parse_bench_args(&args(&["--quick", "--iters", "9"])).unwrap();
-        assert_eq!(bench.options.warmup, 1);
-        assert_eq!(bench.options.accesses, 60_000);
-        assert_eq!(bench.options.iters, 9);
-    }
-
-    #[test]
-    fn bench_rejects_bad_input() {
-        assert!(parse_bench_args(&args(&["no_such_group"]))
-            .unwrap_err()
-            .contains("unknown bench group"));
-        assert!(parse_bench_args(&args(&["--iters", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_bench_args(&args(&["--accesses", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_bench_args(&args(&["--frmat"]))
-            .unwrap_err()
-            .contains("unknown option"));
+        // The explicit flag wins on either side of --quick.
+        for argv in [["--quick", "--iters", "9"], ["--iters", "9", "--quick"]] {
+            let bench = parse_bench_args(&args(&argv)).unwrap();
+            assert_eq!(bench.options.warmup, 1);
+            assert_eq!(bench.options.accesses, 60_000);
+            assert_eq!(bench.options.iters, 9, "{argv:?}");
+        }
     }
 
     #[test]
@@ -1198,6 +1045,8 @@ mod tests {
             &["--floor", "no_equals"],
             &["--floor", "id=-5"],
             &["--floor", "id=abc"],
+            &["--floor", "id=nan"],
+            &["--floor", "id=inf"],
         ] {
             assert!(parse_bench_args(&args(bad)).is_err(), "{bad:?}");
         }
@@ -1245,49 +1094,29 @@ mod tests {
             "0",
         ]))
         .unwrap();
-        assert_eq!(serve.config.addr, "0.0.0.0:9000");
-        assert_eq!(serve.config.workers, 8);
-        assert_eq!(serve.config.queue_capacity, 16);
-        assert_eq!(serve.config.deadline, Duration::from_millis(750));
-        assert_eq!(serve.config.read_timeout, Duration::from_millis(1500));
-        assert_eq!(serve.config.cache_capacity, 0);
-        assert!(serve.config.chaos.is_none());
+        assert_eq!(serve.addr, "0.0.0.0:9000");
+        assert_eq!(serve.workers, 8);
+        assert_eq!(serve.queue_capacity, 16);
+        assert_eq!(serve.deadline, Duration::from_millis(750));
+        assert_eq!(serve.read_timeout, Duration::from_millis(1500));
+        assert_eq!(serve.cache_capacity, 0);
+        assert!(serve.chaos.is_none());
     }
 
     #[test]
     fn serve_chaos_spec_is_optional() {
         // Bare --chaos: the standard spec.
         let serve = parse_serve_args(&args(&["--chaos"])).unwrap();
-        assert_eq!(serve.config.chaos, Some(ChaosSpec::standard()));
+        assert_eq!(serve.chaos, Some(ChaosSpec::standard()));
         // Bare --chaos followed by another flag still works.
         let serve = parse_serve_args(&args(&["--chaos", "--workers", "3"])).unwrap();
-        assert_eq!(serve.config.chaos, Some(ChaosSpec::standard()));
-        assert_eq!(serve.config.workers, 3);
+        assert_eq!(serve.chaos, Some(ChaosSpec::standard()));
+        assert_eq!(serve.workers, 3);
         // An explicit spec overrides fields.
         let serve = parse_serve_args(&args(&["--chaos", "panic=0.5,seed=9"])).unwrap();
-        let spec = serve.config.chaos.unwrap();
+        let spec = serve.chaos.unwrap();
         assert!((spec.handler_panic - 0.5).abs() < 1e-12);
         assert_eq!(spec.seed, 9);
-    }
-
-    #[test]
-    fn serve_rejects_bad_input() {
-        assert!(parse_serve_args(&args(&["--workers", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_serve_args(&args(&["--queue", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_serve_args(&args(&["--deadline-ms", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_serve_args(&args(&["--chaos", "panic=nope"])).is_err());
-        assert!(parse_serve_args(&args(&["--bogus"]))
-            .unwrap_err()
-            .contains("unknown option"));
-        assert!(parse_serve_args(&args(&["stray"]))
-            .unwrap_err()
-            .contains("unexpected argument"));
     }
 
     #[test]
@@ -1315,7 +1144,7 @@ mod tests {
     #[test]
     fn parses_serve_shards_flag() {
         let serve = parse_serve_args(&args(&["--shards", "4", "--workers", "8"])).unwrap();
-        assert_eq!(serve.config.shards, 4);
+        assert_eq!(serve.shards, 4);
         assert!(parse_serve_args(&args(&["--shards", "0"]))
             .unwrap_err()
             .contains("at least 1"));
@@ -1349,6 +1178,8 @@ mod tests {
             &["--mix", "solve=0,sweep=0,batch=0"],
             &["--floor", "no_equals"],
             &["--floor", "id=-5"],
+            &["--floor", "id=nan"],
+            &["--floor", "id=inf"],
         ] {
             assert!(parse_loadgen_args(&args(bad)).is_err(), "{bad:?}");
         }
@@ -1356,22 +1187,14 @@ mod tests {
 
     #[test]
     fn loadgen_quick_preset_and_overrides_compose() {
-        let loadgen = parse_loadgen_args(&args(&["--quick", "--requests", "50"])).unwrap();
-        assert_eq!(loadgen.options.connections, 2);
-        assert_eq!(loadgen.options.requests, 50);
-    }
-
-    #[test]
-    fn loadgen_rejects_bad_input() {
-        assert!(parse_loadgen_args(&args(&["--connections", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_loadgen_args(&args(&["--requests", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_loadgen_args(&args(&["stray"]))
-            .unwrap_err()
-            .contains("unexpected argument"));
+        for argv in [
+            ["--quick", "--requests", "50"],
+            ["--requests", "50", "--quick"],
+        ] {
+            let loadgen = parse_loadgen_args(&args(&argv)).unwrap();
+            assert_eq!(loadgen.options.connections, 2);
+            assert_eq!(loadgen.options.requests, 50, "{argv:?}");
+        }
     }
 
     #[test]
@@ -1405,5 +1228,153 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":2}");
         assert!(!path.with_extension("json.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One argv (subcommand first) with one error per line, `|`, then the
+    /// exact message. Scripts match on this wording, so changing a row
+    /// changes the CLI.
+    const ERRORS: &str = "\
+run|nothing to run: pass experiment ids or --all
+run --all fig01_power_law|pass either --all or explicit ids, not both
+run --all --format|--format needs a value
+run --all --format yaml|unknown format 'yaml' (ascii|csv|json)
+run --all --out|--out needs a directory
+run --all --jobs|--jobs needs a count
+run --all --jobs -1|bad --jobs value '-1'
+run --all --jobs 0|--jobs must be at least 1
+run --all --seed|--seed needs a value
+run --all --seed 18446744073709551616|bad --seed value '18446744073709551616'
+run --all --timeout|--timeout needs a value in seconds
+run --all --timeout 0|--timeout must be at least 1 second
+run --all --frmat json|unknown option '--frmat'
+run --all --quick|unknown option '--quick'
+run fig01_power_law nope|unknown experiment id 'nope' (see `bandwall list`)
+bench no_such_group|unknown bench group 'no_such_group' (see `bandwall bench --list`)
+bench --warmup x|bad --warmup value 'x'
+bench --iters|--iters needs a count
+bench --iters 0|--iters must be at least 1
+bench --iters nan|bad --iters value 'nan'
+bench --accesses 0|--accesses must be at least 1
+bench --snapshot|--snapshot needs a directory
+bench --floor|--floor needs ID=RATE
+bench --floor no_equals|bad --floor 'no_equals' (expected ID=RATE)
+bench --floor id=abc|bad --floor rate 'abc'
+bench --floor id=1e309|--floor rate must be positive
+bench --frmat|unknown option '--frmat'
+serve --addr|--addr needs HOST:PORT
+serve --workers 0|--workers must be at least 1
+serve --shards many|bad --shards value 'many'
+serve --queue|--queue needs a capacity
+serve --queue 0|--queue must be at least 1
+serve --deadline-ms|--deadline-ms needs a value
+serve --deadline-ms 0|--deadline-ms must be at least 1
+serve --read-timeout-ms 0|--read-timeout-ms must be at least 1
+serve --cache-capacity -1|bad --cache-capacity value '-1'
+serve --chaos panic=nope|bad panic probability 'nope'
+serve --bogus|unknown option '--bogus'
+serve stray|unexpected argument 'stray'
+serve --quick|unknown option '--quick'
+loadgen --endpoint warp|unknown endpoint 'warp' (allowed: all, solve, sweep, batch)
+loadgen --mix|--mix needs a spec like solve=7,sweep=2
+loadgen --mix warp=1|unknown mix endpoint 'warp' (allowed: solve, sweep, batch)
+loadgen --mix solve=0,sweep=0,batch=0|mix needs at least one nonzero weight
+loadgen --floor id=-5|--floor rate must be positive
+loadgen --connections 0|--connections must be at least 1
+loadgen --requests 0|--requests must be at least 1
+loadgen --requests x|bad --requests value 'x'
+loadgen --bogus|unknown option '--bogus'
+loadgen stray|unexpected argument 'stray'
+run fig02_traffic_vs_cores fig02_traffic_vs_cores|experiment id 'fig02_traffic_vs_cores' is repeated
+run nope nope|unknown experiment id 'nope' (see `bandwall list`)
+loadgen --floor id=nan|--floor rate must be positive
+loadgen --floor id=inf|--floor rate must be positive
+loadgen --floor id=1e309|--floor rate must be positive";
+
+    /// The argv lists CI, README, perfbench and the verify skill run.
+    const DOCUMENTED: [&str; 13] = [
+        "run --all --jobs 2 --format json --out golden-check",
+        "run fig16_combinations",
+        "run --all --out reports/ --format csv",
+        "run fig14_parsec_sharing --seed 1 --format json",
+        "run --all --seed 3 --format json",
+        "bench --quick --format json --snapshot snaps --floor compressed_sim_seq=4000000 \
+         --floor model_solve_combination_16x=500000 --floor experiment_ablate_replacement=1.5",
+        "bench --snapshot .",
+        "bench model --quick",
+        "serve --addr 127.0.0.1:8787 --workers 2 --shards 2",
+        "serve --addr 127.0.0.1:0 --queue 64 --chaos",
+        "loadgen --addr 127.0.0.1:8787 --quick --format json --snapshot serve-snapshot \
+         --floor serve_healthz=3000 --floor serve_healthz_fresh=4000",
+        "loadgen --mix solve=7,sweep=2,batch=1",
+        "loadgen --endpoint sweep --connections 2",
+    ];
+
+    /// Parses `argv` (subcommand first) as `main` would, through
+    /// experiment selection for `run`; the error, if any.
+    fn parse_error(argv: &[String]) -> Option<String> {
+        let (subcommand, rest) = argv.split_first().expect("a subcommand");
+        match subcommand.as_str() {
+            "run" => parse_run_args(rest).and_then(|run| select(&run).map(drop)),
+            "bench" => parse_bench_args(rest).map(drop),
+            "serve" => parse_serve_args(rest).map(drop),
+            "loadgen" => parse_loadgen_args(rest).map(drop),
+            other => panic!("no subcommand {other}"),
+        }
+        .err()
+    }
+
+    fn split(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parser_errors_keep_their_exact_messages() {
+        for case in ERRORS.lines() {
+            let (argv, message) = case.split_once('|').unwrap();
+            assert_eq!(
+                parse_error(&split(argv)).as_deref(),
+                Some(message),
+                "{argv}"
+            );
+        }
+        for line in DOCUMENTED {
+            assert_eq!(parse_error(&split(line)), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn mutated_documented_argv_never_panics_and_always_explains() {
+        const TOKENS: [&str; 10] = [
+            "",
+            "-",
+            "--",
+            "nan",
+            "inf",
+            "1e309",
+            "18446744073709551616",
+            "x=",
+            "=1",
+            "débit→",
+        ];
+        let mut rng = bandwall_numerics::Rng::seed_from_u64(2026);
+        for _ in 0..20_000 {
+            let mut argv = split(DOCUMENTED[rng.gen_range(0..DOCUMENTED.len())]);
+            let token = TOKENS[rng.gen_range(0..TOKENS.len())].to_string();
+            // Mutate the arguments; argv[0] stays the subcommand.
+            let i = rng.gen_range(1..argv.len());
+            match rng.gen_range(0..5u32) {
+                0 => drop(argv.remove(i)),
+                1 => argv.insert(i, argv[i].clone()),
+                2 => {
+                    let j = rng.gen_range(1..argv.len());
+                    argv.swap(i, j);
+                }
+                3 => argv[i] = token,
+                _ => argv.insert(i, token),
+            }
+            if let Some(err) = parse_error(&argv) {
+                assert!(!err.is_empty(), "{argv:?}");
+            }
+        }
     }
 }

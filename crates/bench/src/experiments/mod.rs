@@ -42,7 +42,7 @@ use bandwall_numerics::rng::splitmix64;
 
 /// Builds every experiment in registry order. With `seed == None` each
 /// seeded experiment keeps its historical default (byte-compatible with
-/// the legacy binaries); with `Some(s)` each gets a distinct seed
+/// the committed golden reports); with `Some(s)` each gets a distinct seed
 /// derived from `s` via SplitMix64, in registry order.
 pub fn all(seed: Option<u64>) -> Vec<Box<dyn Experiment>> {
     let mut state = seed.unwrap_or(0);

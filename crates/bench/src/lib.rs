@@ -1,12 +1,14 @@
 //! Experiment harness for the bandwidth-wall reproduction.
 //!
-//! One binary per paper figure/table lives in `src/bin/`; this library
-//! holds the shared presentation helpers (aligned tables, ASCII bars,
-//! paper-vs-measured comparison rows) and the common experiment
-//! parameters, so every binary prints its figure the same way:
+//! Every paper figure/table is an entry in the experiment [`registry`];
+//! the one binary, `src/bin/bandwall.rs`, lists, runs, benchmarks and
+//! serves them. This library holds the registry, the shared
+//! presentation helpers (aligned tables, ASCII bars, paper-vs-measured
+//! comparison rows) and the common experiment parameters, so every
+//! experiment prints its figure the same way:
 //!
 //! ```text
-//! cargo run -p bandwall-experiments --bin fig02_traffic_vs_cores
+//! cargo run -p bandwall-experiments --bin bandwall -- run fig02_traffic_vs_cores
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,12 +26,7 @@ pub mod sweep;
 
 pub use bandwall_model::roadmap::{die_budget, paper_baseline, GENERATIONS, GENERATION_LABELS};
 
-/// Prints the standard experiment header.
-pub fn header(figure: &str, title: &str) {
-    print!("{}", header_string(figure, title));
-}
-
-/// The standard experiment header as a string (what [`header`] prints).
+/// The standard experiment header every ASCII report starts with.
 pub fn header_string(figure: &str, title: &str) -> String {
     format!(
         "================================================================\n\

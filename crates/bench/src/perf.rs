@@ -23,23 +23,34 @@
 //! * `experiments` — end-to-end registry experiment runs: one analytic
 //!   figure and three simulator-backed experiments (Figures 1 and 14 and
 //!   the replacement ablation).
+//! * `serve` — the model-query service over loopback HTTP.
+//! * `model` — the analytic kernels: the power-law miss rate, relative
+//!   traffic, the supportable-core solve by integer search and by Brent
+//!   crossover at generations 1, 4 and 7 (the solver ablation of
+//!   DESIGN.md §7), the four-technique combination at 16×, and the
+//!   Figure 15 sweep. Each sample loops a fixed number of calls, so
+//!   sub-microsecond kernels sit well above timer resolution.
 //!
 //! All kernels are deterministic (fixed seeds), so run-to-run variance
 //! comes from the machine, not the workload.
 
 use crate::registry;
 use crate::report::{Report, TableBlock, Value};
+use crate::{die_budget, paper_baseline, GENERATIONS};
 use bandwall_cache_sim::{
-    CacheConfig, CmpSimConfig, CompressorKind, EngineSimConfig, ExactCompressorKind, FillSpec,
-    L2Organization, ProfileKind, ReplacementPolicy, ValueSpec,
+    CacheConfig, CmpSimConfig, CompressorKind, EngineSimConfig, FillSpec, L2Organization,
+    ProfileKind, ReplacementPolicy, ValueSpec,
 };
 use bandwall_compress::{Bdi, BestOf, Compressor, Fpc, ZeroRle};
+use bandwall_model::{
+    catalog, Alpha, AssumptionLevel, MissRateCurve, ScalingProblem, Technique, TrafficModel,
+};
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
 use bandwall_trace::{materialize, ParsecLikeTrace, ReplayTrace};
 use std::time::Instant;
 
 /// The bench groups, in presentation order.
-pub const GROUPS: [&str; 4] = ["sim_engine", "compress", "experiments", "serve"];
+pub const GROUPS: [&str; 5] = ["sim_engine", "compress", "experiments", "serve", "model"];
 
 /// Snapshot schema identifier, bumped on any incompatible change
 /// (`/2` added `p99_ns` to every result row; `/3` switched the
@@ -197,7 +208,8 @@ fn time_samples<F: FnMut()>(options: &BenchOptions, mut kernel: F) -> Vec<u64> {
         .collect()
 }
 
-fn host_parallelism() -> usize {
+/// `std::thread::available_parallelism()`, or 1 when it is unknown.
+pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1)
@@ -214,6 +226,7 @@ pub fn run_group(name: &str, options: &BenchOptions) -> Result<BenchGroup, Strin
         "compress" => compress_results(options),
         "experiments" => experiment_results(options),
         "serve" => serve_results(options)?,
+        "model" => model_results(options),
         other => {
             return Err(format!(
                 "unknown bench group '{other}' (see `bandwall bench --list`)"
@@ -419,27 +432,6 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
         }
         results.push(r);
     }
-    // The opt-in sampled size estimator next to the exact default, so the
-    // accuracy-for-speed trade documented in EXPERIMENTS.md stays
-    // measured.
-    let sampled_sim = engine_sim(FillSpec::Compressed {
-        compressor: CompressorKind::Sampled {
-            inner: ExactCompressorKind::Fpc,
-            period: 8,
-        },
-        values: commercial_values,
-    });
-    results.push(BenchResult::from_samples(
-        "compressed_sampled_sim_seq",
-        "compressed cache simulation (sampled sizes, period 8), 1-bank baseline",
-        1,
-        accesses as u64,
-        "accesses",
-        time_samples(options, || {
-            replay.rewind();
-            std::hint::black_box(sampled_sim.run(&mut replay, accesses, 1));
-        }),
-    ));
     results
 }
 
@@ -563,6 +555,117 @@ fn serve_results(options: &BenchOptions) -> Result<Vec<BenchResult>, String> {
         .map(|result| vec![result])
     })?);
     Ok(results)
+}
+
+/// Times `calls` back-to-back calls of `kernel` per sample; `items` is
+/// the call count.
+fn call_kernel<R>(
+    options: &BenchOptions,
+    id: &str,
+    title: &str,
+    calls: u64,
+    mut kernel: impl FnMut() -> R,
+) -> BenchResult {
+    BenchResult::from_samples(
+        id,
+        title,
+        1,
+        calls,
+        "calls",
+        time_samples(options, || {
+            for _ in 0..calls {
+                std::hint::black_box(kernel());
+            }
+        }),
+    )
+}
+
+fn model_results(options: &BenchOptions) -> Vec<BenchResult> {
+    use std::hint::black_box;
+    let curve = MissRateCurve::new(0.1, 1.0, Alpha::COMMERCIAL_AVERAGE).expect("valid curve");
+    let traffic = TrafficModel::new(paper_baseline());
+    let mut results = vec![
+        call_kernel(
+            options,
+            "model_power_law_miss_rate",
+            "power-law miss rate at 4x the baseline cache",
+            100_000,
+            || curve.miss_rate(black_box(4.0)).expect("in domain"),
+        ),
+        call_kernel(
+            options,
+            "model_relative_traffic",
+            "relative traffic of 12 cores at 1/3 CEA of cache each",
+            100_000,
+            || {
+                traffic
+                    .relative_traffic(black_box(12.0), black_box(1.0 / 3.0))
+                    .expect("in domain")
+            },
+        ),
+    ];
+    // The solver ablation: integer galloping search vs Brent crossover
+    // (the search returns floor(crossover)) as the die grows.
+    for generation in [1, 4, 7] {
+        let problem = ScalingProblem::new(paper_baseline(), die_budget(generation));
+        results.push(call_kernel(
+            options,
+            &format!("model_solve_integer_gen{generation}"),
+            &format!("supportable cores by integer search, generation {generation}"),
+            10_000,
+            || {
+                black_box(&problem)
+                    .max_supportable_cores()
+                    .expect("solvable")
+            },
+        ));
+        results.push(call_kernel(
+            options,
+            &format!("model_solve_brent_gen{generation}"),
+            &format!("supportable cores by Brent crossover, generation {generation}"),
+            10_000,
+            || black_box(&problem).crossover_cores().expect("solvable"),
+        ));
+    }
+    let combination = ScalingProblem::new(paper_baseline(), die_budget(4)).with_techniques([
+        Technique::cache_link_compression(2.0).expect("valid ratio"),
+        Technique::dram_cache(8.0).expect("valid density"),
+        Technique::stacked_cache(1).expect("valid layers"),
+        Technique::small_cache_lines(0.4).expect("valid fraction"),
+    ]);
+    results.push(call_kernel(
+        options,
+        "model_solve_combination_16x",
+        "supportable cores with CC/LC+DRAM+3D+SmCl at 16x",
+        10_000,
+        || {
+            black_box(&combination)
+                .max_supportable_cores()
+                .expect("solvable")
+        },
+    ));
+    results.push(call_kernel(
+        options,
+        "model_fig15_sweep",
+        "Figure 15 sweep: every technique x assumption level x generation",
+        200,
+        || {
+            let mut cores = 0u64;
+            for profile in catalog() {
+                for level in AssumptionLevel::ALL {
+                    let technique = profile.technique(level).expect("catalogued level");
+                    for &generation in &GENERATIONS {
+                        cores += ScalingProblem::new(paper_baseline(), die_budget(generation))
+                            .with_technique(technique)
+                            .max_supportable_cores()
+                            .expect("solvable");
+                    }
+                }
+            }
+            cores
+        },
+    ));
+    results
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -724,8 +827,7 @@ mod tests {
                 "sectored_sim_seq",
                 "sectored_sim_par4",
                 "compressed_sim_seq",
-                "compressed_sim_par4",
-                "compressed_sampled_sim_seq"
+                "compressed_sim_par4"
             ]
         );
         for r in &g.results {
@@ -741,6 +843,31 @@ mod tests {
         assert_eq!(g.results.len(), 4);
         for r in &g.results {
             assert_eq!(r.unit, "lines");
+            assert!(r.items_per_sec() > 0.0, "{}", r.id);
+        }
+    }
+
+    #[test]
+    fn model_group_times_every_analytic_kernel() {
+        let g = run_group("model", &tiny()).unwrap();
+        let ids: Vec<&str> = g.results.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                "model_power_law_miss_rate",
+                "model_relative_traffic",
+                "model_solve_integer_gen1",
+                "model_solve_brent_gen1",
+                "model_solve_integer_gen4",
+                "model_solve_brent_gen4",
+                "model_solve_integer_gen7",
+                "model_solve_brent_gen7",
+                "model_solve_combination_16x",
+                "model_fig15_sweep"
+            ]
+        );
+        for r in &g.results {
+            assert_eq!(r.unit, "calls");
             assert!(r.items_per_sec() > 0.0, "{}", r.id);
         }
     }

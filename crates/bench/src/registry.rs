@@ -9,8 +9,8 @@ use crate::report::Report;
 /// configuration (e.g. an RNG seed), so one instance can be run from
 /// any thread.
 pub trait Experiment: Send + Sync {
-    /// Stable registry id — the historical binary name
-    /// (e.g. `fig02_traffic_vs_cores`).
+    /// Stable registry id (e.g. `fig02_traffic_vs_cores`), the name
+    /// `bandwall run` selects the experiment by.
     fn id(&self) -> &'static str;
     /// Figure/table label shown in the header banner (e.g. `"Figure 2"`).
     fn figure(&self) -> &'static str;
@@ -48,7 +48,7 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
 /// Like [`registry`], but when `seed` is `Some`, every seeded
 /// (simulator-backed) experiment gets a distinct seed derived from it
 /// via SplitMix64. `None` keeps the historical per-experiment defaults,
-/// reproducing the legacy binaries byte-for-byte.
+/// reproducing the committed golden reports byte-for-byte.
 pub fn registry_with_seed(seed: Option<u64>) -> Vec<Box<dyn Experiment>> {
     crate::experiments::all(seed)
 }
@@ -56,22 +56,6 @@ pub fn registry_with_seed(seed: Option<u64>) -> Vec<Box<dyn Experiment>> {
 /// Looks up one experiment by id (default seeds).
 pub fn find(id: &str) -> Option<Box<dyn Experiment>> {
     registry().into_iter().find(|e| e.id() == id)
-}
-
-/// Runs one experiment and prints its ASCII report — the entire body of
-/// every thin per-figure binary. A failing experiment prints its failure
-/// banner and exits with status 1 instead of panicking.
-///
-/// # Panics
-///
-/// Panics if `id` is not in the registry (a bug in the calling binary).
-pub fn run_main(id: &str) {
-    let experiment = find(id).unwrap_or_else(|| panic!("unknown experiment id: {id}"));
-    let report = experiment.run_to_report();
-    print!("{}", report.to_ascii());
-    if report.is_failure() {
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +69,7 @@ mod tests {
         assert_eq!(
             reg.len(),
             32,
-            "29 historical binaries + combo_sim + 2 registry extensions"
+            "29 historical experiments + combo_sim + 2 registry extensions"
         );
         let ids: BTreeSet<&str> = reg.iter().map(|e| e.id()).collect();
         assert_eq!(ids.len(), reg.len(), "ids must be unique");

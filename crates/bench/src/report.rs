@@ -3,8 +3,8 @@
 //! Every experiment in the registry produces a [`Report`]: an ordered
 //! list of blocks (notes and typed tables) plus headline [`Metric`]s
 //! that pair each model value with the paper's reported number. A
-//! report renders as ASCII (byte-compatible with the historical
-//! per-figure binaries), CSV, or JSON.
+//! report renders as ASCII (byte-compatible with the committed golden
+//! reports), CSV, or JSON.
 
 use crate::header_string;
 use crate::render::{bar, Table};
@@ -157,7 +157,7 @@ impl Metric {
 /// The structured result of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Registry id (the historical binary name, e.g. `fig02_traffic_vs_cores`).
+    /// Registry id (e.g. `fig02_traffic_vs_cores`).
     pub id: String,
     /// Figure/table label (e.g. `"Figure 2"`).
     pub figure: String,

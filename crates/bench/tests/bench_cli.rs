@@ -16,7 +16,20 @@ fn bench_list_names_every_group() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     let groups: Vec<&str> = stdout.lines().collect();
-    assert_eq!(groups, ["sim_engine", "compress", "experiments", "serve"]);
+    assert_eq!(
+        groups,
+        ["sim_engine", "compress", "experiments", "serve", "model"]
+    );
+}
+
+#[test]
+fn run_rejects_a_repeated_id() {
+    let out = bandwall(&["run", "fig02_traffic_vs_cores", "fig02_traffic_vs_cores"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "bandwall: experiment id 'fig02_traffic_vs_cores' is repeated\n"
+    );
 }
 
 #[test]

@@ -74,8 +74,8 @@ pub use parallel::{
     EngineSimStats, Partitioning,
 };
 pub use pipeline::{
-    CompressedFill, CompressorKind, ExactCompressorKind, Fill, FillSpec, FullLineFill,
-    PipelineCache, ProfileKind, SectoredCompressedFill, SectoredFill, ValueSpec,
+    CompressedFill, CompressorKind, Fill, FillSpec, FullLineFill, PipelineCache, ProfileKind,
+    SectoredCompressedFill, SectoredFill, ValueSpec,
 };
 pub use sectored::SectoredCache;
 pub use stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};

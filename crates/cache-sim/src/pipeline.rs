@@ -42,7 +42,7 @@
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
-use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, Sampled, ZeroRle};
+use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, ZeroRle};
 use bandwall_numerics::Rng;
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
 use std::collections::HashMap;
@@ -337,63 +337,17 @@ pub enum CompressorKind {
     ZeroRle,
     /// Per-line best of FPC, BDI, and zero-RLE.
     BestOf,
-    /// Opt-in sampled-size fast path: runs `inner`'s exact size model on
-    /// every `period`-th query and estimates the rest from the running
-    /// mean ([`bandwall_compress::Sampled`]). Statistics are deterministic
-    /// sequentially but are **not** bit-identical across bank counts; the
-    /// exact kinds remain the default everywhere.
-    Sampled {
-        /// The exact engine being sampled.
-        inner: ExactCompressorKind,
-        /// Sampling period (≥ 1; 1 degenerates to the exact engine).
-        period: u16,
-    },
-}
-
-/// The exact (non-sampled) compression engines — the inner choices for
-/// [`CompressorKind::Sampled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExactCompressorKind {
-    /// Frequent Pattern Compression.
-    Fpc,
-    /// Base-Delta-Immediate.
-    Bdi,
-    /// Zero run-length suppression.
-    ZeroRle,
-    /// Per-line best of FPC, BDI, and zero-RLE.
-    BestOf,
-}
-
-impl ExactCompressorKind {
-    /// Instantiates the engine.
-    pub fn build(self) -> Box<dyn Compressor> {
-        match self {
-            ExactCompressorKind::Fpc => Box::new(Fpc::new()),
-            ExactCompressorKind::Bdi => Box::new(Bdi::new()),
-            ExactCompressorKind::ZeroRle => Box::new(ZeroRle::new()),
-            ExactCompressorKind::BestOf => Box::new(BestOf::standard()),
-        }
-    }
 }
 
 impl CompressorKind {
     /// Instantiates the engine.
     pub fn build(self) -> Box<dyn Compressor> {
         match self {
-            CompressorKind::Fpc => ExactCompressorKind::Fpc.build(),
-            CompressorKind::Bdi => ExactCompressorKind::Bdi.build(),
-            CompressorKind::ZeroRle => ExactCompressorKind::ZeroRle.build(),
-            CompressorKind::BestOf => ExactCompressorKind::BestOf.build(),
-            CompressorKind::Sampled { inner, period } => {
-                Box::new(Sampled::new(inner.build(), u64::from(period)))
-            }
+            CompressorKind::Fpc => Box::new(Fpc::new()),
+            CompressorKind::Bdi => Box::new(Bdi::new()),
+            CompressorKind::ZeroRle => Box::new(ZeroRle::new()),
+            CompressorKind::BestOf => Box::new(BestOf::standard()),
         }
-    }
-
-    /// Whether this kind's size model is exact (`false` only for
-    /// [`CompressorKind::Sampled`] with a period above 1).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, CompressorKind::Sampled { period, .. } if period > 1)
     }
 }
 

@@ -148,33 +148,6 @@ fn reference_mode_itself_banks_bit_identically() {
     }
 }
 
-#[test]
-fn sampled_compressor_is_deterministic_sequentially() {
-    // `Sampled` trades exactness for speed: repeated sequential runs are
-    // identical, but the estimate depends on query order, so it is
-    // opt-in and excluded from the cross-thread grid (see DESIGN.md).
-    let kind = CompressorKind::Sampled {
-        inner: bandwall_cache_sim::ExactCompressorKind::Fpc,
-        period: 8,
-    };
-    assert!(!kind.is_exact());
-    let config = EngineSimConfig {
-        cache: CacheConfig::new(16 << 10, LINE, 8).unwrap(),
-        fill: FillSpec::Compressed {
-            compressor: kind,
-            values: ValueSpec {
-                profile: ProfileKind::Commercial,
-                seed: 11,
-            },
-        },
-        flush: true,
-    };
-    let first = config.run(&mut grid_trace(0.5, 7), 8_000, 1);
-    let second = config.run(&mut grid_trace(0.5, 7), 8_000, 1);
-    assert_eq!(first, second);
-    assert!(first.compression.lines() > 0);
-}
-
 // ---------------------------------------------------------------------------
 // Property tests: the size-cache invalidation contract (DESIGN.md).
 // ---------------------------------------------------------------------------

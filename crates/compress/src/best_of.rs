@@ -100,9 +100,8 @@ impl Compressor for BestOf {
     }
 
     /// Size-only path: selector byte plus the smallest member size. Delegates
-    /// to each member's `compressed_size`, so size-only members (including
-    /// estimators such as [`crate::Sampled`]) propagate through without
-    /// running their full encoders.
+    /// to each member's `compressed_size`, so the members' size-only paths
+    /// propagate through without running their full encoders.
     fn compressed_size(&self, line: &[u8]) -> usize {
         if line.is_empty() {
             // Every member encodes an empty line in zero bytes, but their

@@ -47,7 +47,6 @@ mod best_of;
 pub mod bits;
 mod dictionary;
 mod fpc;
-mod sampled;
 mod stats;
 mod zero;
 
@@ -55,7 +54,6 @@ pub use bdi::Bdi;
 pub use best_of::BestOf;
 pub use dictionary::{DictionaryLine, LinkCompressor};
 pub use fpc::Fpc;
-pub use sampled::Sampled;
 pub use stats::CompressionStats;
 pub use zero::ZeroRle;
 
@@ -122,10 +120,9 @@ pub trait Compressor: Send + Sync {
 
     /// Size in bytes after compression (capped below by 1).
     ///
-    /// The bundled exact engines override this with allocation-free
-    /// size-only paths that equal `compress(line).len().max(1)` byte for
-    /// byte (property-tested per engine); [`Sampled`] overrides it with a
-    /// periodic-sampling estimate.
+    /// The bundled engines override this with allocation-free size-only
+    /// paths that equal `compress(line).len().max(1)` byte for byte
+    /// (property-tested per engine).
     fn compressed_size(&self, line: &[u8]) -> usize {
         self.compress(line).len().max(1)
     }

@@ -78,7 +78,7 @@ impl StackDistanceTraceBuilder {
     }
 
     /// Footprint and truncation depth of the LRU stack (default 2²⁰
-    /// lines, at most 2³²). Sampled distances beyond this touch the
+    /// lines, at most 2³²). Distances drawn beyond this touch the
     /// least-recently-used line, acting as streaming misses at every
     /// realistic cache size.
     #[must_use]
