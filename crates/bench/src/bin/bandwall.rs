@@ -96,12 +96,9 @@ SERVE OPTIONS:
     --addr <HOST:PORT>          bind address (default: 127.0.0.1:8787;
                                 port 0 picks an ephemeral port)
     --workers <N>               worker threads (default: 2)
-    --shards <N>                admission shards, each with its own
-                                acceptor thread and queue; clamped to
-                                the worker count (default: 1)
-    --queue <N>                 bounded request-queue capacity, divided
-                                across the shards; the excess is shed
-                                with an `overloaded` reply (default: 64)
+    --queue <N>                 bounded request-queue capacity; the
+                                excess is shed with an `overloaded`
+                                reply (default: 64)
     --deadline-ms <MS>          per-request deadline; overruns reply
                                 504 `deadline_exceeded` (default: 2000)
     --read-timeout-ms <MS>      socket read/write window and keep-alive
@@ -696,7 +693,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
         match arg {
             "--addr" => config.addr = a.value("HOST:PORT")?.to_string(),
             "--workers" => config.workers = a.count("a count")?,
-            "--shards" => config.shards = a.count("a count")?,
             "--queue" => config.queue_capacity = a.count("a capacity")?,
             "--deadline-ms" => config.deadline = Duration::from_millis(a.count("a value")?),
             "--read-timeout-ms" => config.read_timeout = Duration::from_millis(a.count("a value")?),
@@ -1142,16 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_shards_flag() {
-        let serve = parse_serve_args(&args(&["--shards", "4", "--workers", "8"])).unwrap();
-        assert_eq!(serve.shards, 4);
-        assert!(parse_serve_args(&args(&["--shards", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_serve_args(&args(&["--shards", "many"])).is_err());
-    }
-
-    #[test]
     fn parses_loadgen_endpoint_mix_and_floor_flags() {
         let loadgen = parse_loadgen_args(&args(&["--endpoint", "sweep"])).unwrap();
         assert_eq!(loadgen.options.endpoint, EndpointSelection::Sweep);
@@ -1263,7 +1249,7 @@ bench --floor id=1e309|--floor rate must be positive
 bench --frmat|unknown option '--frmat'
 serve --addr|--addr needs HOST:PORT
 serve --workers 0|--workers must be at least 1
-serve --shards many|bad --shards value 'many'
+serve --shards 2|unknown option '--shards'
 serve --queue|--queue needs a capacity
 serve --queue 0|--queue must be at least 1
 serve --deadline-ms|--deadline-ms needs a value
@@ -1301,7 +1287,7 @@ loadgen --floor id=1e309|--floor rate must be positive";
          --floor model_solve_combination_16x=500000 --floor experiment_ablate_replacement=1.5",
         "bench --snapshot .",
         "bench model --quick",
-        "serve --addr 127.0.0.1:8787 --workers 2 --shards 2",
+        "serve --addr 127.0.0.1:8787 --workers 2",
         "serve --addr 127.0.0.1:0 --queue 64 --chaos",
         "loadgen --addr 127.0.0.1:8787 --quick --format json --snapshot serve-snapshot \
          --floor serve_healthz=3000 --floor serve_healthz_fresh=4000",

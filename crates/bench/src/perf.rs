@@ -506,54 +506,30 @@ fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {
 /// an ephemeral localhost port, drives it with the shared loadgen
 /// kernels (health checks on new and kept-alive connections,
 /// cold/memoized solves and sweeps, a mixed and a full-size batch, a
-/// concurrent throughput batch), then drains it; a second,
-/// fully-sharded server measures the multi-acceptor throughput kernel.
-/// Single-host numbers: client and server share the machine, so treat
-/// throughput as a lower bound.
+/// concurrent throughput batch), then drains it. Single-host numbers:
+/// client and server share the machine, so treat throughput as a lower
+/// bound.
 fn serve_results(options: &BenchOptions) -> Result<Vec<BenchResult>, String> {
-    let workers = host_parallelism().clamp(2, 4);
-    let loadgen_options = crate::serve::loadgen::LoadgenOptions::from_bench(options);
-    let drive = |shards: usize,
-                 run: &dyn Fn(&std::net::SocketAddr) -> Result<Vec<BenchResult>, String>|
-     -> Result<Vec<BenchResult>, String> {
-        let config = crate::serve::ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            shards,
-            ..crate::serve::ServeConfig::default()
-        };
-        let server = crate::serve::Server::start(config)
-            .map_err(|e| format!("starting serve bench: {e}"))?;
-        let outcome = run(&server.addr());
-        server.shutdown_handle().shutdown();
-        let stats = server.join();
-        let results = outcome?;
-        if stats.internal > 0 || stats.worker_respawns > 0 {
-            return Err(format!(
-                "serve bench saw {} internal errors and {} respawns on a clean run",
-                stats.internal, stats.worker_respawns
-            ));
-        }
-        Ok(results)
+    let config = crate::serve::ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: host_parallelism().clamp(2, 4),
+        ..crate::serve::ServeConfig::default()
     };
-    let mut results = drive(1, &|addr| {
-        crate::serve::loadgen::run_against(addr, &loadgen_options)
-    })?;
-    // Same workload as serve_throughput_c{N}, but with one admission
-    // shard (acceptor + queue) per worker instead of a single shared
-    // queue — the apples-to-apples sharding comparison.
-    results.extend(drive(workers, &|addr| {
-        crate::serve::loadgen::throughput_result(
-            addr,
-            &loadgen_options,
-            format!(
-                "serve_throughput_sharded_c{}",
-                loadgen_options.connections.max(1)
-            ),
-            " (one admission shard per worker)",
-        )
-        .map(|result| vec![result])
-    })?);
+    let server =
+        crate::serve::Server::start(config).map_err(|e| format!("starting serve bench: {e}"))?;
+    let outcome = crate::serve::loadgen::run_against(
+        &server.addr(),
+        &crate::serve::loadgen::LoadgenOptions::from_bench(options),
+    );
+    server.shutdown_handle().shutdown();
+    let stats = server.join();
+    let results = outcome?;
+    if stats.internal > 0 || stats.worker_respawns > 0 {
+        return Err(format!(
+            "serve bench saw {} internal errors and {} respawns on a clean run",
+            stats.internal, stats.worker_respawns
+        ));
+    }
     Ok(results)
 }
 

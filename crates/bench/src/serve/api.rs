@@ -1117,6 +1117,14 @@ mod tests {
                 "fractional layers",
             ),
             (
+                r#"{"total_ceas":32,"techniques":[{"kind":"thermal_capped_3d","layers":65,"layer_density":8,"thermal_derate":0.7}]}"#,
+                "65 layers",
+            ),
+            (
+                r#"{"total_ceas":32,"techniques":[{"kind":"thermal_capped_3d","layers":10000000,"layer_density":8,"thermal_derate":0.7}]}"#,
+                "ten million layers",
+            ),
+            (
                 r#"{"total_ceas":32,"techniques":[{"kind":"thermal_capped_3d","layers":2,"layer_density":8,"thermal_derate":0}]}"#,
                 "zero derate",
             ),

@@ -8,8 +8,9 @@
 //!
 //! Strictness choices (all rejections, never panics):
 //! duplicate object keys, trailing data, trailing commas, comments,
-//! non-finite numbers, lone surrogates in `\u` escapes, and nesting
-//! beyond [`MAX_DEPTH`].
+//! numbers outside RFC 8259's grammar (`0256`, `256.`, `1.e3`, `-.5`)
+//! or beyond `f64`'s range, lone surrogates in `\u` escapes, and
+//! nesting beyond [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 
@@ -277,18 +278,35 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes a run of ASCII digits; `false` when there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// One number, following RFC 8259's grammar: an optional minus,
+    /// then `0` or a nonzero digit and more digits, then an optional
+    /// fraction and exponent, each with at least one digit.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zeros are not allowed"));
+            }
+        } else if !self.digits() {
+            return Err(self.err("expected a digit"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected a digit after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -296,8 +314,8 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -365,6 +383,10 @@ mod tests {
             "{'a':1}",
             "[1 2]",
             "\u{1}",
+            "0256",
+            "256.",
+            "1.e3",
+            "-.5",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -438,21 +438,11 @@ fn latency_kernel(
     Ok(samples)
 }
 
-/// The concurrent throughput kernel: `connections` clients each issue
-/// their share of a batch of memoized solves; the sample is the whole
-/// batch's wall time. Three batches give a coarse spread. Standalone so
-/// the bench harness can run it against differently-sharded servers
-/// under distinct kernel ids.
-///
-/// # Errors
-///
-/// Returns a message on any connection failure or non-200 reply.
-pub fn throughput_result(
-    addr: &SocketAddr,
-    options: &LoadgenOptions,
-    id: impl Into<String>,
-    flavor: &str,
-) -> Result<BenchResult, String> {
+/// The concurrent throughput kernel (`serve_throughput_c{N}`):
+/// `connections` clients each issue their share of a batch of memoized
+/// solves; the sample is the whole batch's wall time. Three batches
+/// give a coarse spread.
+fn throughput_result(addr: &SocketAddr, options: &LoadgenOptions) -> Result<BenchResult, String> {
     let requests = options.requests.max(10);
     let connections = options.connections.max(1);
     let per_connection = requests.div_ceil(connections);
@@ -481,8 +471,8 @@ pub fn throughput_result(
         batch_samples.push(start.elapsed().as_nanos() as u64);
     }
     Ok(BenchResult::from_samples(
-        id,
-        format!("{connections} concurrent connections, {total} memoized solves per batch{flavor}"),
+        format!("serve_throughput_c{connections}"),
+        format!("{connections} concurrent connections, {total} memoized solves per batch"),
         connections,
         total,
         "requests",
@@ -582,7 +572,8 @@ pub fn run_against(
     // Health-check latency (protocol floor) leads every run: first one
     // request per new connection — the accept and admission path every
     // keep-alive kernel skips — before the keep-alive connection opens,
-    // since on a sharded server it would hold its shard's only worker.
+    // since an idle kept-alive connection keeps its worker until a
+    // queued connection has waited a whole idle poll.
     let mut samples = Vec::with_capacity(requests);
     for i in 0..requests {
         let start = Instant::now();
@@ -625,12 +616,7 @@ pub fn run_against(
     if let Some(mix) = &options.mix {
         results.extend(mix_results(&mut client, requests, mix)?);
         drop(client);
-        results.push(throughput_result(
-            addr,
-            options,
-            format!("serve_throughput_c{}", options.connections.max(1)),
-            "",
-        )?);
+        results.push(throughput_result(addr, options)?);
         return Ok(results);
     }
 
@@ -797,11 +783,6 @@ pub fn run_against(
     }
     drop(client);
 
-    results.push(throughput_result(
-        addr,
-        options,
-        format!("serve_throughput_c{}", options.connections.max(1)),
-        "",
-    )?);
+    results.push(throughput_result(addr, options)?);
     Ok(results)
 }

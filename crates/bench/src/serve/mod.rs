@@ -3,26 +3,25 @@
 //! A std-only TCP/HTTP-JSON front end over the analytical model, built
 //! for graceful degradation first and throughput second:
 //!
-//! * one or more **acceptors** (one per shard, sharing the listening
-//!   socket) block in `accept()` and admit each connection to their
-//!   shard's [`queue::BoundedQueue`], spilling to sibling shards and
-//!   *shedding* with an immediate `overloaded` reply only once every
-//!   shard is full: queue depth, not client count, bounds memory;
-//! * N run-to-completion **workers** (partitioned across the shards)
-//!   drain the queues, enforce per-request deadlines, and contain
-//!   handler panics; a `/v1/batch` runs inline unless its solve count
-//!   pays for a helper thread, and the calling worker takes a share of
-//!   any fan-out;
+//! * one **acceptor** blocks in `accept()` and admits each connection
+//!   to the server's one [`queue::BoundedQueue`], *shedding* it with an
+//!   immediate `overloaded` reply when the queue is full: queue depth,
+//!   not client count, bounds memory;
+//! * N run-to-completion **workers** all drain that queue, enforce
+//!   per-request deadlines, and contain handler panics; a kept-alive
+//!   connection that sits idle while another connection waits gives
+//!   its worker up, and a `/v1/batch` runs inline unless its solve
+//!   count pays for a helper thread, the calling worker taking a share
+//!   of any fan-out;
 //! * a **supervisor** respawns workers that die (chaos or otherwise)
-//!   with doubling backoff, keeping each respawn on its shard;
+//!   with doubling backoff;
 //! * a memo **cache** ([`cache`]) keyed by canonical problem encodings
 //!   returns byte-identical bodies for repeated queries — shared by
 //!   `/v1/solve` and every `/v1/sweep` variant;
 //! * shutdown flips the drain flag and opens one throwaway loopback
-//!   connection per shard, so every acceptor blocked in `accept()`
-//!   wakes, drops it unqueued and exits; the port closes with the last
-//!   acceptor, the queues close, workers drain in-flight work, and
-//!   [`Server::join`] returns.
+//!   connection, so the acceptor blocked in `accept()` wakes, drops it
+//!   unqueued and exits; the port and the queue close with it, workers
+//!   drain in-flight work, and [`Server::join`] returns.
 //!
 //! Endpoints are the versioned route table in [`api`]: `GET /healthz`,
 //! `GET /readyz`, `GET /v1/techniques`, `POST /v1/solve` (with the
@@ -50,11 +49,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long an acceptor backs off after a failed `accept()`, so a
+/// How long the acceptor backs off after a failed `accept()`, so a
 /// persistent error such as `EMFILE` cannot spin its thread.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
-/// How long [`ShutdownHandle::shutdown`] waits for each wake connection.
+/// How long [`ShutdownHandle::shutdown`] waits for its wake connection.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How the server runs; every knob has a CLI flag.
@@ -64,12 +63,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker thread count.
     pub workers: usize,
-    /// Admission shards: each gets its own acceptor thread and queue,
-    /// splitting the accept path's lock. Clamped to the worker count;
-    /// 1 (the default) reproduces the single-acceptor layout.
-    pub shards: usize,
-    /// Bounded-queue capacity (connections awaiting a worker), divided
-    /// across the shards.
+    /// Bounded-queue capacity (connections awaiting a worker).
     pub queue_capacity: usize,
     /// Per-request deadline (queue wait counts for a connection's first
     /// request).
@@ -87,7 +81,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:8787".to_string(),
             workers: 2,
-            shards: 1,
             queue_capacity: 64,
             deadline: Duration::from_secs(2),
             read_timeout: Duration::from_secs(5),
@@ -104,8 +97,7 @@ pub struct ServeStats {
     pub connections: AtomicU64,
     /// `200 OK` replies.
     pub served_ok: AtomicU64,
-    /// Connections refused with `overloaded` (every shard full or
-    /// closed).
+    /// Connections refused with `overloaded` (queue full or closed).
     pub shed: AtomicU64,
     /// `400/405/408/413 invalid_request` replies.
     pub invalid_request: AtomicU64,
@@ -155,12 +147,12 @@ pub(crate) struct Conn {
     pub accepted_at: Instant,
 }
 
-/// State shared by the acceptors, workers, and supervisor.
+/// State shared by the acceptor, workers, and supervisor.
 #[derive(Debug)]
 pub(crate) struct ServeContext {
     pub config: ServeConfig,
-    /// One bounded queue per admission shard.
-    pub queues: Vec<BoundedQueue<Conn>>,
+    /// Admitted connections awaiting a worker.
+    pub queue: BoundedQueue<Conn>,
     pub cache: SolveCache,
     pub stats: ServeStats,
     shutdown: AtomicBool,
@@ -171,11 +163,10 @@ impl ServeContext {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Whether every shard's queue is at capacity — the readiness
-    /// probe's saturation signal (an acceptor spills across shards
-    /// before shedding, so one full shard is not saturation).
+    /// Whether the queue is at capacity — the readiness probe's
+    /// saturation signal.
     pub fn saturated(&self) -> bool {
-        self.queues.iter().all(BoundedQueue::is_full)
+        self.queue.is_full()
     }
 }
 
@@ -188,24 +179,22 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Flips the drain flag, then opens one throwaway connection per
-    /// shard so every acceptor blocked in `accept()` wakes, sees the
-    /// flag and exits: the port closes, queued and in-flight requests
-    /// finish, idle connections close. Only the first call does
-    /// anything; later calls are no-ops.
+    /// Flips the drain flag, then opens one throwaway connection so the
+    /// acceptor blocked in `accept()` wakes, sees the flag and exits:
+    /// the port closes, queued and in-flight requests finish, idle
+    /// connections close. Only the first call does anything; later
+    /// calls are no-ops.
     pub fn shutdown(&self) {
-        // Release pairs with the Acquire load in `is_draining`: an
-        // acceptor woken by the connections below sees the flag set.
+        // Release pairs with the Acquire load in `is_draining`: the
+        // acceptor woken by the connection below sees the flag set.
         if self.ctx.shutdown.swap(true, Ordering::Release) {
             return;
         }
         let wake = SocketAddr::new(loopback_for(self.addr.ip()), self.addr.port());
-        for _ in 0..self.ctx.queues.len() {
-            // A failed connect means the listener is already gone or its
-            // backlog is full of real connections, each of which wakes
-            // an acceptor just as well.
-            let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
-        }
+        // A failed connect means the listener is already gone or its
+        // backlog is full of real connections, any of which wakes the
+        // acceptor just as well.
+        let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
     }
 }
 
@@ -225,49 +214,33 @@ fn loopback_for(ip: IpAddr) -> IpAddr {
 pub struct Server {
     ctx: Arc<ServeContext>,
     addr: SocketAddr,
-    acceptors: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
     supervisor: JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds, spawns the acceptors, workers, and supervisor, and
+    /// Binds, spawns the acceptor, workers, and supervisor, and
     /// returns once the server is accepting.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration I/O errors.
-    pub fn start(mut config: ServeConfig) -> std::io::Result<Server> {
-        let shards = config.shards.clamp(1, config.workers.max(1));
-        config.shards = shards;
+    pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // Every shard accepts from the same socket through a clone; the
-        // port closes once the last acceptor drops its handle.
-        let mut listeners = Vec::with_capacity(shards);
-        for _ in 1..shards {
-            listeners.push(listener.try_clone()?);
-        }
-        listeners.push(listener);
-        let per_shard_capacity = config.queue_capacity.div_ceil(shards);
-        let cache_capacity = config.cache_capacity;
         let ctx = Arc::new(ServeContext {
-            queues: (0..shards)
-                .map(|_| BoundedQueue::new(per_shard_capacity))
-                .collect(),
+            queue: BoundedQueue::new(config.queue_capacity),
+            cache: SolveCache::new(config.cache_capacity),
             config,
-            cache: SolveCache::new(cache_capacity),
             stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
         });
-        let mut acceptors = Vec::with_capacity(shards);
-        for (shard, listener) in listeners.into_iter().enumerate() {
+        let acceptor = {
             let ctx = Arc::clone(&ctx);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name(format!("bandwall-acceptor-{shard}"))
-                    .spawn(move || acceptor_loop(listener, &ctx, shard))?,
-            );
-        }
+            std::thread::Builder::new()
+                .name("bandwall-acceptor".into())
+                .spawn(move || acceptor_loop(listener, &ctx))?
+        };
         let supervisor = {
             let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
@@ -277,7 +250,7 @@ impl Server {
         Ok(Server {
             ctx,
             addr,
-            acceptors,
+            acceptor,
             supervisor,
         })
     }
@@ -305,12 +278,10 @@ impl Server {
     /// The port is closed and every worker has exited by the time this
     /// returns.
     pub fn join(self) -> StatsSnapshot {
-        // Each acceptor's exit drops its listener handle and closes its
-        // shard's queue; the supervisor exits once every worker has
-        // drained and finished.
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
-        }
+        // The acceptor's exit drops the listener and closes the queue;
+        // the supervisor exits once every worker has drained and
+        // finished.
+        let _ = self.acceptor.join();
         let _ = self.supervisor.join();
         snapshot_of(&self.ctx)
     }
@@ -334,13 +305,12 @@ fn snapshot_of(ctx: &ServeContext) -> StatsSnapshot {
     }
 }
 
-/// One shard's acceptor: blocks in `accept()` and admits each
-/// connection to this shard's queue, spilling to sibling shards and
-/// only then shedding it with an immediate `overloaded` reply. The
-/// first connection it sees once draining — a shutdown wake or a real
-/// client racing the drain — is dropped unqueued and uncounted, and the
-/// acceptor exits.
-fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>, shard: usize) {
+/// The acceptor: blocks in `accept()` and admits each connection to
+/// the queue, shedding it with an immediate `overloaded` reply when the
+/// queue is full. The first connection it sees once draining — the
+/// shutdown wake or a real client racing the drain — is dropped
+/// unqueued and uncounted, and the acceptor exits.
+fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>) {
     loop {
         let accepted = listener.accept();
         if ctx.is_draining() {
@@ -352,7 +322,9 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>, shard: usize) {
                     stream,
                     accepted_at: Instant::now(),
                 };
-                if let Some(conn) = admit(ctx, shard, conn) {
+                if let Err(PushError::Full(conn) | PushError::Closed(conn)) =
+                    ctx.queue.try_push(conn)
+                {
                     ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
                     shed(conn.stream);
                 }
@@ -360,25 +332,10 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>, shard: usize) {
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
-    // Dropping the listener handle releases the port (fully closed once
-    // every shard's acceptor exits); closing this shard's queue lets
-    // its workers drain what was already admitted and then exit.
+    // Dropping the listener releases the port; closing the queue lets
+    // the workers drain what was already admitted and then exit.
     drop(listener);
-    ctx.queues[shard].close();
-}
-
-/// Offers a connection to its home shard, then to every sibling shard
-/// in round-robin order. Returns the connection back when all are full
-/// — only then is the server genuinely overloaded.
-fn admit(ctx: &ServeContext, home: usize, mut conn: Conn) -> Option<Conn> {
-    let shards = ctx.queues.len();
-    for step in 0..shards {
-        match ctx.queues[(home + step) % shards].try_push(conn) {
-            Ok(()) => return None,
-            Err(PushError::Full(back)) | Err(PushError::Closed(back)) => conn = back,
-        }
-    }
-    Some(conn)
+    ctx.queue.close();
 }
 
 /// Best-effort `503 overloaded` on a nonblocking socket. The reply is
@@ -403,36 +360,28 @@ fn shed(stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Spawns the initial workers (worker *i* drains shard `i % shards`),
-/// then respawns any that die with a doubling backoff (10 ms → 500 ms,
-/// reset after a quiet scan), keeping each respawn on its shard.
-/// Returns once every queue is closed and every worker has exited
+/// Spawns the initial workers, then respawns any that die with a
+/// doubling backoff (10 ms → 500 ms, reset after a quiet scan).
+/// Returns once the queue is closed and every worker has exited
 /// normally — i.e. the drain is complete.
 fn supervisor_loop(ctx: &Arc<ServeContext>) {
     const BACKOFF_FLOOR: Duration = Duration::from_millis(10);
     const BACKOFF_CEIL: Duration = Duration::from_millis(500);
-    let shards = ctx.queues.len();
-    let spawn = |shard: usize, stream: u64| {
+    let spawn = |stream: u64| {
         let ctx = Arc::clone(ctx);
         std::thread::Builder::new()
             .name(format!("bandwall-worker-{stream}"))
-            .spawn(move || worker::worker_loop(ctx, shard, stream))
+            .spawn(move || worker::worker_loop(ctx, stream))
             .expect("spawning a worker thread")
     };
-    let mut next_stream: u64 = 0;
-    let mut slots: Vec<(usize, Option<JoinHandle<()>>)> = (0..ctx.config.workers.max(1))
-        .map(|i| {
-            let shard = i % shards;
-            let handle = spawn(shard, next_stream);
-            next_stream += 1;
-            (shard, Some(handle))
-        })
-        .collect();
+    let workers = ctx.config.workers.max(1) as u64;
+    let mut slots: Vec<Option<JoinHandle<()>>> = (0..workers).map(|i| Some(spawn(i))).collect();
+    let mut next_stream = workers;
     let mut backoff = BACKOFF_FLOOR;
     loop {
         std::thread::sleep(Duration::from_millis(5));
         let mut respawned = false;
-        for (shard, slot) in &mut slots {
+        for slot in &mut slots {
             let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
             if !finished {
                 continue;
@@ -445,17 +394,17 @@ fn supervisor_loop(ctx: &Arc<ServeContext>) {
                 ctx.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_CEIL);
-                *slot = Some(spawn(*shard, next_stream));
+                *slot = Some(spawn(next_stream));
                 next_stream += 1;
                 respawned = true;
             }
-            // A normal exit means the queue is closed and drained for
-            // this worker; leave the slot empty.
+            // A normal exit means the queue is closed and drained; leave
+            // the slot empty.
         }
         if !respawned {
             backoff = BACKOFF_FLOOR;
         }
-        if ctx.queues.iter().all(|q| q.is_closed()) && slots.iter().all(|(_, s)| s.is_none()) {
+        if ctx.queue.is_closed() && slots.iter().all(Option::is_none) {
             return;
         }
     }

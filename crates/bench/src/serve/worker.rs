@@ -1,13 +1,20 @@
 //! Run-to-completion connection workers.
 //!
-//! Each worker pops accepted connections off its shard's bounded queue
-//! and drives them to completion: keep-alive request loop, per-request
-//! deadline enforcement, strict read limits, and panic containment
-//! (`catch_unwind` around the model work, so a handler panic — injected
-//! or organic — becomes a well-formed `internal` reply instead of a
-//! dead connection). Workers share no mutable state beyond the queues,
-//! the memo cache, and atomic counters; chaos faults are sampled from a
-//! per-worker deterministic [`Injector`].
+//! Every worker pops accepted connections off the server's one bounded
+//! queue and drives them to completion: keep-alive request loop,
+//! per-request deadline enforcement, strict read limits, and panic
+//! containment (`catch_unwind` around the model work, so a handler
+//! panic — injected or organic — becomes a well-formed `internal` reply
+//! instead of a dead connection). Workers share no mutable state beyond
+//! the queue, the memo cache, and atomic counters; chaos faults are
+//! sampled from a per-worker deterministic [`Injector`].
+//!
+//! A kept-alive connection holds its worker between requests. When it
+//! has sent nothing for a whole idle poll while another connection
+//! waits in the queue, the worker closes it (HTTP/1.1 lets a server
+//! close an idle persistent connection) and takes the waiting one, so
+//! idle clients cannot starve new ones; bytes already received are
+//! always served first.
 //!
 //! Requests dispatch through the versioned route table in
 //! [`crate::serve::api`]; each worker reuses one response buffer across
@@ -38,7 +45,8 @@ use std::time::{Duration, Instant};
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Request-body cap: 64 KiB is far beyond any real problem description.
 const MAX_BODY_BYTES: usize = 64 * 1024;
-/// How often an idle keep-alive wait rechecks the drain flag.
+/// How often an idle keep-alive wait rechecks the drain flag and the
+/// queue.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Most threads one batch fans out over, the calling worker included
 /// (further bounded by the batch's job count and the host's
@@ -56,15 +64,15 @@ pub(crate) const LIMITS: Limits = Limits {
     max_body_bytes: MAX_BODY_BYTES,
 };
 
-/// The body of one worker thread: drain this shard's queue until it is
-/// closed and empty. Panics (chaos-injected worker deaths) unwind out
-/// of here and are answered by the supervisor's respawn.
-pub(crate) fn worker_loop(ctx: Arc<ServeContext>, shard: usize, fault_stream: u64) {
+/// The body of one worker thread: drain the queue until it is closed
+/// and empty. Panics (chaos-injected worker deaths) unwind out of here
+/// and are answered by the supervisor's respawn.
+pub(crate) fn worker_loop(ctx: Arc<ServeContext>, fault_stream: u64) {
     let mut injector = ctx
         .config
         .chaos
         .map(|spec| Injector::for_worker(spec, fault_stream));
-    while let Some(conn) = ctx.queues[shard].pop() {
+    while let Some(conn) = ctx.queue.pop() {
         handle_connection(&ctx, injector.as_mut(), conn);
         if let Some(fault) = injector.as_mut().and_then(|i| i.sample(FaultPoint::Worker)) {
             // Outside any containment on purpose: a worker death must
@@ -75,8 +83,9 @@ pub(crate) fn worker_loop(ctx: Arc<ServeContext>, shard: usize, fault_stream: u6
 }
 
 /// Waits for the next request's first byte without consuming it,
-/// polling the drain flag. Returns `false` when the connection should
-/// close (drain, idle timeout, peer gone).
+/// polling the drain flag and the queue. Returns `false` when the
+/// connection should close (drain, idle timeout, a whole idle poll with
+/// another connection waiting, peer gone).
 fn await_next_request(ctx: &ServeContext, stream: &TcpStream, buffered: bool) -> bool {
     if buffered {
         // Pipelined bytes already sit in the reader; serve them even
@@ -97,7 +106,7 @@ fn await_next_request(ctx: &ServeContext, stream: &TcpStream, buffered: bool) ->
             Ok(0) => return false,
             Ok(_) => break,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if started.elapsed() >= idle_limit {
+                if started.elapsed() >= idle_limit || !ctx.queue.is_empty() {
                     return false;
                 }
             }

@@ -92,7 +92,6 @@ fn soak_under_standard_chaos_never_breaks_the_contract() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 3,
-        shards: 1,
         queue_capacity: 64,
         deadline: Duration::from_secs(5),
         read_timeout: Duration::from_secs(2),
@@ -148,7 +147,6 @@ fn worker_death_storm_is_survived_by_the_supervisor() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        shards: 1,
         queue_capacity: 32,
         deadline: Duration::from_secs(5),
         read_timeout: Duration::from_secs(2),
@@ -185,7 +183,6 @@ fn batch_soak_under_chaos_keeps_the_partial_failure_contract() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        shards: 2,
         queue_capacity: 32,
         deadline: Duration::from_secs(5),
         read_timeout: Duration::from_secs(2),

@@ -16,7 +16,6 @@ fn test_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        shards: 1,
         queue_capacity: 8,
         deadline: Duration::from_secs(2),
         read_timeout: Duration::from_millis(400),
@@ -184,6 +183,55 @@ fn concurrent_clients_all_get_correct_answers() {
     assert_eq!(stats.served_ok, 200);
     assert_eq!(stats.internal, 0);
     assert_eq!(stats.worker_respawns, 0, "no chaos, no respawns");
+}
+
+#[test]
+fn idle_keep_alive_connections_give_up_their_workers() {
+    // Both workers hold a kept-alive connection that has gone quiet; the
+    // 5 s keep-alive window must not make a new client wait it out.
+    let (server, addr) = start(ServeConfig {
+        workers: 2,
+        read_timeout: Duration::from_secs(5),
+        ..test_config()
+    });
+    let mut idle: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(&addr).unwrap();
+            assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+            client
+        })
+        .collect();
+    let started = Instant::now();
+    let fresh = Client::connect(&addr)
+        .unwrap()
+        .request_once("POST", "/v1/solve", Some("{\"total_ceas\":32}"))
+        .unwrap();
+    let waited = started.elapsed();
+    assert_eq!(fresh.status, 200, "{}", fresh.body);
+    assert!(
+        waited < Duration::from_millis(250),
+        "a new client waited {waited:?} behind idle keep-alive connections"
+    );
+    // An idle client keeps working: on its old connection, or after a
+    // clean close on a new one.
+    for client in &mut idle {
+        let reply = match client.request("GET", "/healthz", None) {
+            Ok(reply) => reply,
+            Err(error) => {
+                assert!(
+                    error.contains("closed the connection"),
+                    "an idle connection ended without a clean close: {error}"
+                );
+                *client = Client::connect(&addr).unwrap();
+                client.request("GET", "/healthz", None).unwrap()
+            }
+        };
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+    drop(idle);
+    let stats = stop(server);
+    assert_eq!(stats.internal, 0, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
 }
 
 #[test]
@@ -612,10 +660,9 @@ fn every_advertised_technique_round_trips_through_a_custom_sweep() {
 }
 
 #[test]
-fn sharded_server_serves_all_endpoints_and_drains() {
+fn four_workers_on_one_queue_serve_all_endpoints_and_drain() {
     let (server, addr) = start(ServeConfig {
         workers: 4,
-        shards: 4,
         queue_capacity: 16,
         ..test_config()
     });
@@ -636,7 +683,7 @@ fn sharded_server_serves_all_endpoints_and_drains() {
         })
         .collect();
     for client in clients {
-        client.join().expect("sharded client");
+        client.join().expect("client thread");
     }
     let stats = stop(server);
     assert_eq!(stats.served_ok, 4 * 26);
@@ -659,39 +706,34 @@ fn drain_within(server: Server, limit: Duration) -> Option<StatsSnapshot> {
 
 #[test]
 fn idle_server_on_all_interfaces_drains_promptly() {
-    for shards in [1, 4] {
+    for workers in [1, 4] {
         let server = Server::start(ServeConfig {
             addr: "0.0.0.0:0".to_string(),
-            workers: 4,
-            shards,
+            workers,
             ..test_config()
         })
         .expect("server starts");
         let port = server.addr().port();
-        // Let every acceptor settle into its blocking accept().
+        // Let the acceptor settle into its blocking accept().
         std::thread::sleep(Duration::from_millis(50));
         let stats = drain_within(server, Duration::from_secs(1))
-            .unwrap_or_else(|| panic!("{shards}-shard idle server did not drain within 1 s"));
+            .unwrap_or_else(|| panic!("{workers}-worker idle server did not drain within 1 s"));
         assert_eq!(
             stats.connections, 0,
-            "{shards} shards: wake connections must never reach a worker: {stats:?}"
+            "{workers} workers: the wake connection must never reach a worker: {stats:?}"
         );
-        assert_eq!(stats.shed, 0, "{shards} shards: {stats:?}");
+        assert_eq!(stats.shed, 0, "{workers} workers: {stats:?}");
         let loopback = SocketAddr::from(([127, 0, 0, 1], port));
         assert!(
             TcpStream::connect_timeout(&loopback, Duration::from_millis(300)).is_err(),
-            "{shards} shards: port should be closed after drain"
+            "{workers} workers: port should be closed after drain"
         );
     }
 }
 
 #[test]
 fn calling_shutdown_twice_is_harmless() {
-    let (server, addr) = start(ServeConfig {
-        workers: 2,
-        shards: 2,
-        ..test_config()
-    });
+    let (server, addr) = start(test_config());
     let mut client = Client::connect(&addr).unwrap();
     assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
     drop(client);

@@ -48,7 +48,9 @@ pub enum ParamDomain {
     UnitInterval,
     /// A non-negative finite magnitude.
     NonNegative,
-    /// A whole number of layers, at least 1.
+    /// A whole number of layers from 1 to 64: the deepest stack any
+    /// caller models (the catalogue's deepest band is 8), and a bound on
+    /// the per-layer work every solve step repeats.
     Layers,
 }
 
@@ -61,7 +63,7 @@ impl ParamDomain {
             ParamDomain::ClosedFraction => "must be in [0, 1]",
             ParamDomain::UnitInterval => "must be in (0, 1]",
             ParamDomain::NonNegative => "must be finite and >= 0",
-            ParamDomain::Layers => "must be at least 1",
+            ParamDomain::Layers => "must be at least 1 and at most 64",
         }
     }
 
@@ -84,11 +86,7 @@ impl ParamDomain {
             ParamDomain::ClosedFraction => value.is_finite() && (0.0..=1.0).contains(&value),
             ParamDomain::UnitInterval => value.is_finite() && value > 0.0 && value <= 1.0,
             ParamDomain::NonNegative => value.is_finite() && value >= 0.0,
-            ParamDomain::Layers => {
-                value.is_finite()
-                    && value.fract() == 0.0
-                    && (1.0..=f64::from(u32::MAX)).contains(&value)
-            }
+            ParamDomain::Layers => value.fract() == 0.0 && (1.0..=64.0).contains(&value),
         };
         if ok {
             Ok(value)
@@ -287,13 +285,17 @@ fn apply_cache_link_compression(p: &[f64], e: &mut Effects) {
 /// guard-banded capacity), so layer `k` contributes
 /// `density × derate^k`. The total stacked benefit is geometrically
 /// bounded by `density / (1 - derate)` layers-worth of cache — the
-/// thermal ceiling — instead of growing linearly with the stack.
+/// thermal ceiling — instead of growing linearly with the stack. A
+/// small enough derate underflows the density to zero; the stack ends
+/// there, since a zero-density layer adds nothing.
 fn apply_thermal_capped_3d(p: &[f64], e: &mut Effects) {
-    let layers = p[0] as u64;
     let derate = p[2];
     let mut density = p[1];
-    for _ in 0..layers {
-        e.add_stacked_layer(StackedLayer::new(density).expect("derated density stays positive"));
+    for _ in 0..p[0] as u64 {
+        let Ok(layer) = StackedLayer::new(density) else {
+            break;
+        };
+        e.add_stacked_layer(layer);
         density *= derate;
     }
 }
@@ -906,10 +908,16 @@ mod tests {
         assert!(ParamDomain::NonNegative.validate("n", 0.0).is_ok());
         assert!(ParamDomain::NonNegative.validate("n", -0.1).is_err());
         assert!(ParamDomain::Layers.validate("l", 2.0).is_ok());
+        assert!(ParamDomain::Layers.validate("l", 64.0).is_ok());
+        assert!(ParamDomain::Layers.validate("l", 65.0).is_err());
         assert!(ParamDomain::Layers.validate("l", 1.5).is_err());
         assert!(ParamDomain::Layers.validate("l", 0.0).is_err());
         let err = ParamDomain::Layers.validate("layers", 0.0).unwrap_err();
-        assert!(err.to_string().contains("must be at least 1"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("must be at least 1 and at most 64"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -945,6 +953,12 @@ mod tests {
         let total: f64 = e.stacked_layers().iter().map(|l| l.density()).sum();
         assert!(total <= 16.0, "{total}");
         assert!(total > 15.9, "{total}");
+        // A derate that underflows the density to zero ends the stack
+        // at the last layer with any density left, instead of panicking.
+        let underflow = d.instantiate(&[3.0, 8.0, 1e-300]).unwrap();
+        let mut e = Effects::none();
+        underflow.apply_to(&mut e);
+        assert_eq!(e.stacked_layers().len(), 2);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Technique {
     ///
     /// # Errors
     ///
-    /// Rejects `layers == 0`.
+    /// Rejects `layers` outside `1..=64`.
     pub fn stacked_cache(layers: u32) -> Result<Self, ModelError> {
         Self::stacked_dram_cache(layers, 1.0)
     }
@@ -145,7 +145,7 @@ impl Technique {
     ///
     /// # Errors
     ///
-    /// Rejects `layers == 0` and densities below 1.
+    /// Rejects `layers` outside `1..=64` and densities below 1.
     pub fn stacked_dram_cache(layers: u32, layer_density: f64) -> Result<Self, ModelError> {
         Self::from_registry("stacked_cache", &[f64::from(layers), layer_density])
     }
