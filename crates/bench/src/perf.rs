@@ -14,7 +14,8 @@
 //!   speedup vs the baseline median; plus 4-thread banked runs of the
 //!   configurations that historically fell back to sequential —
 //!   Random replacement and mismatched L1/L2 line sizes — and the
-//!   sectored and compressed fills of the unified pipeline. On a
+//!   sectored, compressed and footprint-predicting sectored fills of the
+//!   unified pipeline. On a
 //!   multi-core host the parallel rows scale with the bank count; on a
 //!   single hardware thread they measure the engine's overhead (the
 //!   snapshot records `host_parallelism` so readers can tell which).
@@ -254,7 +255,7 @@ fn fig14_sim() -> CmpSimConfig {
 }
 
 /// Standalone unified-pipeline geometry the `sim_engine` group tracks for
-/// the sectored and compressed fills (the Figure 14 L2).
+/// the sectored, compressed and predictive fills (the Figure 14 L2).
 fn engine_sim(fill: FillSpec) -> EngineSimConfig {
     EngineSimConfig {
         cache: CacheConfig::new(512 << 10, 64, 8).expect("valid geometry"),
@@ -395,6 +396,12 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
             FillSpec::Compressed {
                 compressor: CompressorKind::Fpc,
                 values: commercial_values,
+            },
+        ),
+        (
+            "predictive",
+            FillSpec::PredictiveSectored {
+                sectors_per_line: 8,
             },
         ),
     ] {
@@ -803,7 +810,9 @@ mod tests {
                 "sectored_sim_seq",
                 "sectored_sim_par4",
                 "compressed_sim_seq",
-                "compressed_sim_par4"
+                "compressed_sim_par4",
+                "predictive_sim_seq",
+                "predictive_sim_par4"
             ]
         );
         for r in &g.results {

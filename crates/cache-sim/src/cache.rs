@@ -111,6 +111,14 @@ mod tests {
         assert!((usage.unused_fraction() - 0.75).abs() < 1e-12);
     }
 
+    /// A 1 KB line has 128 words, more than the 64-bit word mask holds:
+    /// tracking would fold words 63..128 into one bit and undercount.
+    #[test]
+    #[should_panic(expected = "at most 64 words")]
+    fn word_tracking_rejects_lines_over_512_bytes() {
+        let _ = Cache::new(CacheConfig::new(8192, 1024, 2).unwrap()).with_word_tracking();
+    }
+
     #[test]
     fn sharer_tracking() {
         let mut c = small_cache(ReplacementPolicy::Lru).with_sharer_tracking();

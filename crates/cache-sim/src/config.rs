@@ -130,9 +130,9 @@ impl CacheConfig {
             });
         }
         if associativity > 64 {
-            return Err(ConfigError::NotPowerOfTwo {
-                name: "associativity (max 64)",
-                value: associativity as u64,
+            return Err(ConfigError::OutOfRange {
+                name: "associativity",
+                constraint: "must be at most 64",
             });
         }
         if !line_size.is_power_of_two() {
@@ -283,7 +283,17 @@ mod tests {
             ConfigError::Zero { .. }
         ));
         assert!(CacheConfig::new(3 << 20, 64, 8).is_err()); // 6144 sets: not 2^n
-        assert!(CacheConfig::new(1 << 20, 64, 128).is_err()); // assoc > 64
+
+        // 128 is a power of two; the limit is the 64-way occupancy mask.
+        let too_wide = CacheConfig::new(8192, 64, 128).unwrap_err();
+        assert_eq!(
+            too_wide,
+            ConfigError::OutOfRange {
+                name: "associativity",
+                constraint: "must be at most 64",
+            }
+        );
+        assert_eq!(too_wide.to_string(), "associativity must be at most 64");
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   per-core sharer tracking.
 //! * [`SectoredCache`] — sector-granularity fetching ([`SectoredFill`],
 //!   Section 6.2).
+//! * [`PredictiveSectoredCache`] — sectored, with a last-footprint
+//!   predictor prefetching each line's previous footprint
+//!   ([`PredictiveSectoredFill`]).
 //! * [`CompressedCache`] — byte-budget sets over any
 //!   `bandwall_compress::Compressor` ([`CompressedFill`], Section 6.1).
 //! * [`SectoredCompressedCache`] — both composed
@@ -53,7 +56,6 @@ mod cmp;
 mod coherence;
 mod compressed;
 mod config;
-mod footprint;
 mod hierarchy;
 mod memory;
 mod parallel;
@@ -66,7 +68,6 @@ pub use cmp::{CmpSystem, L2Organization};
 pub use coherence::{CoherenceStats, CoherentCmp};
 pub use compressed::CompressedCache;
 pub use config::{CacheConfig, ConfigError, ReplacementPolicy};
-pub use footprint::PredictiveSectoredCache;
 pub use hierarchy::{InclusionPolicy, TwoLevelHierarchy};
 pub use memory::{simulate_throughput, DramChannel, ThroughputSimConfig, ThroughputSimResult};
 pub use parallel::{
@@ -74,10 +75,10 @@ pub use parallel::{
     EngineSimStats, Partitioning,
 };
 pub use pipeline::{
-    CompressedFill, CompressorKind, Fill, FillSpec, FullLineFill, PipelineCache, ProfileKind,
-    SectoredCompressedFill, SectoredFill, ValueSpec,
+    CompressedFill, CompressorKind, Fill, FillSpec, FullLineFill, PipelineCache,
+    PredictiveSectoredFill, ProfileKind, SectoredCompressedFill, SectoredFill, ValueSpec,
 };
-pub use sectored::SectoredCache;
+pub use sectored::{PredictiveSectoredCache, SectoredCache};
 pub use stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
 
 /// Sectored *and* compressed cache — the composed configuration the

@@ -46,7 +46,8 @@
 //!   fixed order; the engine merges in bank order for determinism.
 //!
 //! These arguments hold for *every* [`FillSpec`] of the unified pipeline:
-//! sector validity is per line, and a compressed set's byte budget —
+//! sector validity is per line, a footprint prediction is keyed by the
+//! line address, and a compressed set's byte budget —
 //! including the multi-victim evictions it can trigger — is confined to
 //! that set, while the value generator feeding the compressor is a pure
 //! function of the line address.
@@ -94,8 +95,8 @@ use crate::cmp::{CmpSystem, L2Organization};
 use crate::coherence::{CoherenceStats, CoherentCmp};
 use crate::config::{CacheConfig, ConfigError};
 use crate::pipeline::{
-    CompressedFill, Fill, FillSpec, FullLineFill, PipelineCache, SectoredCompressedFill,
-    SectoredFill,
+    CompressedFill, Fill, FillSpec, FullLineFill, PipelineCache, PredictiveSectoredFill,
+    SectoredCompressedFill, SectoredFill,
 };
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats};
 use bandwall_compress::CompressionStats;
@@ -206,6 +207,10 @@ macro_rules! with_fill {
                 let $fill = SectoredFill::new(sectors_per_line);
                 $body
             }
+            FillSpec::PredictiveSectored { sectors_per_line } => {
+                let $fill = PredictiveSectoredFill::new(sectors_per_line);
+                $body
+            }
             FillSpec::Compressed { compressor, values } => {
                 let $fill = CompressedFill::from_spec(compressor, values);
                 $body
@@ -226,8 +231,9 @@ macro_rules! with_fill {
 /// policy, and run policy.
 ///
 /// This is the engine entry point for the standalone cache variants
-/// (`Cache`, `SectoredCache`, `CompressedCache`, and the composed
-/// `SectoredCompressedCache`): pick the variant with
+/// (`Cache`, `SectoredCache`, `PredictiveSectoredCache`,
+/// `CompressedCache`, and the composed `SectoredCompressedCache`): pick
+/// the variant with
 /// [`EngineSimConfig::fill`]. [`EngineSimConfig::run`] produces
 /// bit-identical [`EngineSimStats`] at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,6 +260,10 @@ pub struct EngineSimStats {
     pub sector_misses: u64,
     /// Bytes a conventional whole-line cache would have fetched.
     pub conventional_fetch_bytes: u64,
+    /// Sectors fetched on a footprint prediction (predictive fills).
+    pub prefetched_sectors: u64,
+    /// Prefetched sectors evicted or flushed without being accessed.
+    pub overfetched_sectors: u64,
 }
 
 impl EngineSimConfig {
@@ -272,52 +282,19 @@ impl EngineSimConfig {
     ///
     /// Panics if the fill/geometry combination is invalid (tree-PLRU with
     /// a compressed fill, or more sectors than line bytes).
+    // with_fill! expands this body once per fill variant; the clone the
+    // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
+    #[allow(clippy::clone_on_copy)]
     pub fn run<T: TraceSource>(
         &self,
         trace: &mut T,
         accesses: usize,
         threads: usize,
     ) -> EngineSimStats {
-        self.run_inner(trace, accesses, threads, false)
-    }
-
-    /// Like [`EngineSimConfig::run`], but in the engine's *reference
-    /// recompression* mode: every budgeted access recompresses its line
-    /// payload from scratch instead of trusting the per-line size cache
-    /// and the tag → size memo. Observably identical for generator-driven
-    /// runs — the differential test harness holds the two paths equal at
-    /// every thread count — and many times slower; it exists so the fast
-    /// path has something to be proven against.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`EngineSimConfig::run`].
-    pub fn run_reference<T: TraceSource>(
-        &self,
-        trace: &mut T,
-        accesses: usize,
-        threads: usize,
-    ) -> EngineSimStats {
-        self.run_inner(trace, accesses, threads, true)
-    }
-
-    // with_fill! expands this body once per fill variant; the clone the
-    // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
-    #[allow(clippy::clone_on_copy)]
-    fn run_inner<T: TraceSource>(
-        &self,
-        trace: &mut T,
-        accesses: usize,
-        threads: usize,
-        reference: bool,
-    ) -> EngineSimStats {
         let partitioning = self.partitioning(threads);
         with_fill!(self.fill, fill => {
             let per_bank = run_banked(trace, accesses, partitioning, |stream| {
                 let mut cache = PipelineCache::with_fill(self.cache, fill.clone());
-                if reference {
-                    cache = cache.with_reference_recompression();
-                }
                 while let Some(batch) = stream.next_batch() {
                     for a in batch {
                         cache.access_from(a.thread(), a.address(), a.kind().is_write());
@@ -332,6 +309,8 @@ impl EngineSimConfig {
                 merged.compression.merge(&bank.compression);
                 merged.sector_misses += bank.sector_misses;
                 merged.conventional_fetch_bytes += bank.conventional_fetch_bytes;
+                merged.prefetched_sectors += bank.prefetched_sectors;
+                merged.overfetched_sectors += bank.overfetched_sectors;
             }
             merged
         })
@@ -347,6 +326,8 @@ impl EngineSimConfig {
             compression: *cache.compression(),
             sector_misses: cache.sector_misses(),
             conventional_fetch_bytes: cache.conventional_fetch_bytes(),
+            prefetched_sectors: cache.prefetched_sectors(),
+            overfetched_sectors: cache.overfetched_sectors(),
         }
     }
 }

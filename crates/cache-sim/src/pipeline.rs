@@ -32,13 +32,16 @@
 //!
 //! * [`FullLineFill`] — the conventional cache (`Cache`);
 //! * [`SectoredFill`] — fetch only referenced sectors (`SectoredCache`);
+//! * [`PredictiveSectoredFill`] — sectored, plus a last-footprint
+//!   predictor that prefetches the sectors a line used during its previous
+//!   residency (`PredictiveSectoredCache`);
 //! * [`CompressedFill`] — byte-budgeted sets storing compressed lines
 //!   (`CompressedCache`);
 //! * [`SectoredCompressedFill`] — both at once, which no pre-pipeline
 //!   variant could express.
 //!
-//! The historical types are thin aliases over this engine (see
-//! `cache.rs`, `sectored.rs`, `compressed.rs`).
+//! The cache types are thin aliases over this engine (see `cache.rs`,
+//! `sectored.rs`, `compressed.rs`).
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
@@ -65,6 +68,12 @@ pub trait Fill: Clone {
         false
     }
 
+    /// Whether a line miss also fetches the sectors the line used during
+    /// its previous residency (last-footprint prediction).
+    fn predicts_footprints(&self) -> bool {
+        false
+    }
+
     /// Stored (compressed) size for a line payload, or `None` when lines
     /// occupy their full size.
     fn stored_size(&self, data: &[u8]) -> Option<usize> {
@@ -72,26 +81,13 @@ pub trait Fill: Clone {
         None
     }
 
-    /// Synthesises the payload for data-free accesses, when the policy
-    /// needs line values and none were supplied by the caller.
-    fn generate(&self, line_byte_address: u64, line_size: usize) -> Option<Vec<u8>> {
-        let _ = (line_byte_address, line_size);
-        None
-    }
-
-    /// Allocation-free variant of [`Fill::generate`]: writes the payload
-    /// into a reusable caller buffer (cleared first) and returns whether a
-    /// payload was produced. The engine threads one scratch buffer through
-    /// the access path so steady-state misses allocate nothing.
+    /// Synthesises the payload for a data-free access into a reusable
+    /// caller buffer (cleared first), returning whether the policy
+    /// produced one. The engine threads one scratch buffer through the
+    /// access path so steady-state misses allocate nothing.
     fn generate_into(&self, line_byte_address: u64, line_size: usize, out: &mut Vec<u8>) -> bool {
-        match self.generate(line_byte_address, line_size) {
-            Some(payload) => {
-                out.clear();
-                out.extend_from_slice(&payload);
-                true
-            }
-            None => false,
-        }
+        let _ = (line_byte_address, line_size, out);
+        false
     }
 
     /// Human-readable policy name for reports and `Debug` output.
@@ -145,6 +141,48 @@ impl Fill for SectoredFill {
     }
 }
 
+/// Sector-granularity fills with a last-footprint predictor: a line miss
+/// fetches the demanded sector plus every sector the line used during its
+/// previous residency. This is the spatial-pattern prediction (Chen et
+/// al., Kumar & Wilkerson, Pujara & Aggarwal) that the paper cites to
+/// justify fetching only the sectors that will be referenced.
+///
+/// The engine owns the footprint table and counts prefetched and
+/// overfetched (prefetched but never used) sectors; see
+/// [`PipelineCache::overfetch_fraction`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PredictiveSectoredFill {
+    sectors: SectoredFill,
+}
+
+impl PredictiveSectoredFill {
+    /// Builds a predictive sectored fill policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same sector-count constraints as
+    /// [`SectoredFill::new`].
+    pub fn new(sectors_per_line: u32) -> Self {
+        PredictiveSectoredFill {
+            sectors: SectoredFill::new(sectors_per_line),
+        }
+    }
+}
+
+impl Fill for PredictiveSectoredFill {
+    fn sectors_per_line(&self) -> u32 {
+        self.sectors.sectors_per_line()
+    }
+
+    fn predicts_footprints(&self) -> bool {
+        true
+    }
+
+    fn label(&self) -> &'static str {
+        "predictive-sectored"
+    }
+}
+
 /// Compressed storage: lines are stored at their compressed size so each
 /// set holds a byte budget (Section 6.1's "Cache Compression").
 ///
@@ -192,12 +230,6 @@ impl Fill for CompressedFill {
 
     fn stored_size(&self, data: &[u8]) -> Option<usize> {
         Some(self.compressor.compressed_size(data))
-    }
-
-    fn generate(&self, line_byte_address: u64, line_size: usize) -> Option<Vec<u8>> {
-        self.values
-            .as_ref()
-            .map(|v| v.line_bytes(line_byte_address, line_size))
     }
 
     fn generate_into(&self, line_byte_address: u64, line_size: usize, out: &mut Vec<u8>) -> bool {
@@ -269,10 +301,6 @@ impl Fill for SectoredCompressedFill {
         self.compressed.stored_size(data)
     }
 
-    fn generate(&self, line_byte_address: u64, line_size: usize) -> Option<Vec<u8>> {
-        self.compressed.generate(line_byte_address, line_size)
-    }
-
     fn generate_into(&self, line_byte_address: u64, line_size: usize, out: &mut Vec<u8>) -> bool {
         self.compressed
             .generate_into(line_byte_address, line_size, out)
@@ -292,6 +320,12 @@ pub enum FillSpec {
     FullLine,
     /// Sector-granularity fills ([`SectoredFill`]).
     Sectored {
+        /// Sectors per line (positive power of two, at most 64).
+        sectors_per_line: u32,
+    },
+    /// Sector-granularity fills with last-footprint prediction
+    /// ([`PredictiveSectoredFill`]).
+    PredictiveSectored {
         /// Sectors per line (positive power of two, at most 64).
         sectors_per_line: u32,
     },
@@ -320,6 +354,7 @@ impl FillSpec {
         match self {
             FillSpec::FullLine => "full-line",
             FillSpec::Sectored { .. } => "sectored",
+            FillSpec::PredictiveSectored { .. } => "predictive-sectored",
             FillSpec::Compressed { .. } => "compressed",
             FillSpec::SectoredCompressed { .. } => "sectored+compressed",
         }
@@ -507,7 +542,8 @@ impl AccessOutcome {
     }
 
     /// Bytes the fill policy fetched for this access (zero on a hit; a
-    /// sector for sectored fills, a whole line otherwise).
+    /// sector for sectored fills, plus the predicted ones on a line miss
+    /// under footprint prediction; a whole line otherwise).
     pub fn fetched_bytes(&self) -> u64 {
         self.fetched_bytes
     }
@@ -543,6 +579,9 @@ struct LineMeta {
     valid_sectors: u64,
     /// Bitmask of dirty sectors; the line is dirty iff non-zero.
     dirty_sectors: u64,
+    /// Bitmask of sectors the footprint predictor fetched that have not
+    /// been accessed yet (always zero without prediction).
+    prefetched: u64,
     last_used: u64,
     inserted: u64,
     /// Bitmask of 8-byte words referenced while resident.
@@ -677,6 +716,18 @@ enum Storage {
     },
 }
 
+/// The last-footprint predictor's state: each line's used sectors from
+/// its previous residency, and the prefetch accounting.
+#[derive(Debug, Clone, Default)]
+struct Footprints {
+    /// Line address → sectors used during its last residency.
+    table: HashMap<u64, u64>,
+    /// Sectors fetched on a prediction rather than on demand.
+    prefetched_sectors: u64,
+    /// Prefetched sectors that left the cache without being accessed.
+    overfetched_sectors: u64,
+}
+
 /// The composable observer stack: every statistic the engine maintains,
 /// borrowed together so the eviction/write-back accounting lives in
 /// exactly one place ([`ObserverStack::retire`]).
@@ -685,9 +736,22 @@ struct ObserverStack<'a> {
     traffic: &'a mut MemoryTraffic,
     word_usage: Option<&'a mut WordUsageStats>,
     sharing: Option<&'a mut SharingStats>,
+    footprints: Option<&'a mut Footprints>,
 }
 
 impl ObserverStack<'_> {
+    /// Sectors a line miss on `tag` prefetches beyond the demanded one:
+    /// the line's last footprint.
+    fn predict(&mut self, tag: u64, sector_bit: u64) -> u64 {
+        let footprints = self
+            .footprints
+            .as_deref_mut()
+            .expect("predicting fills own a footprint table");
+        let prefetched = footprints.table.get(&tag).copied().unwrap_or(0) & !sector_bit;
+        footprints.prefetched_sectors += u64::from(prefetched.count_ones());
+        prefetched
+    }
+
     /// Records one line leaving the cache — the single copy of the
     /// eviction and write-back bookkeeping that used to be duplicated
     /// across the five simulator variants.
@@ -706,6 +770,12 @@ impl ObserverStack<'_> {
         if let Some(sharing) = self.sharing.as_deref_mut() {
             sharing.record_eviction(ev.sharers);
         }
+        if let Some(footprints) = self.footprints.as_deref_mut() {
+            footprints.overfetched_sectors += u64::from(old.prefetched.count_ones());
+            footprints
+                .table
+                .insert(tag, old.valid_sectors & !old.prefetched);
+        }
         if ev.dirty {
             self.traffic.record_writeback(ev.writeback_bytes);
         }
@@ -722,6 +792,7 @@ impl ObserverStack<'_> {
 /// |---|---|
 /// | `Cache` | [`FullLineFill`] |
 /// | `SectoredCache` | [`SectoredFill`] |
+/// | `PredictiveSectoredCache` | [`PredictiveSectoredFill`] |
 /// | `CompressedCache` | [`CompressedFill`] |
 /// | `SectoredCompressedCache` | [`SectoredCompressedFill`] |
 ///
@@ -756,6 +827,8 @@ pub struct PipelineCache<F: Fill = FullLineFill> {
     conventional_fetch_bytes: u64,
     word_usage: Option<WordUsageStats>,
     sharing: Option<SharingStats>,
+    /// Present iff the fill predicts footprints.
+    footprints: Option<Footprints>,
     seen_lines: FirstTouch,
     tick: u64,
     /// Reusable payload buffer for generator-backed size computation, so
@@ -767,9 +840,6 @@ pub struct PipelineCache<F: Fill = FullLineFill> {
     /// (`access_with_data`) bypass this memo entirely. See DESIGN.md,
     /// "Size-cache invalidation contract".
     size_memo: HashMap<u64, u64>,
-    /// Differential-testing reference mode: budgeted fills recompress the
-    /// generator payload on every access instead of using the size cache.
-    reference_recompress: bool,
     /// One replacement RNG per set, derived from `(policy seed, set
     /// index)`; empty unless the policy is [`ReplacementPolicy::Random`].
     /// Per-set streams keep victim choices local to the set, which the
@@ -820,6 +890,7 @@ impl<F: Fill> PipelineCache<F> {
             })
         };
         let sector_size = config.line_size() / u64::from(fill.sectors_per_line());
+        let footprints = fill.predicts_footprints().then(Footprints::default);
         PipelineCache {
             sector_size,
             line_shift: config.line_size().trailing_zeros(),
@@ -836,11 +907,11 @@ impl<F: Fill> PipelineCache<F> {
             conventional_fetch_bytes: 0,
             word_usage: None,
             sharing: None,
+            footprints,
             seen_lines: FirstTouch::new(),
             tick: 0,
             scratch: Vec::new(),
             size_memo: HashMap::new(),
-            reference_recompress: false,
             set_rngs: if config.policy() == ReplacementPolicy::Random {
                 (0..config.sets())
                     .map(|set| Rng::seed_from_stream(config.policy_seed(), set))
@@ -852,8 +923,17 @@ impl<F: Fill> PipelineCache<F> {
     }
 
     /// Enables per-word usage tracking (needed for unused-data studies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a line holds more than 64 words (lines over 512 bytes):
+    /// the per-line word mask is 64 bits.
     #[must_use]
     pub fn with_word_tracking(mut self) -> Self {
+        assert!(
+            self.config.words_per_line() <= 64,
+            "word tracking covers at most 64 words per line (512-byte lines)"
+        );
         self.word_usage = Some(WordUsageStats::new(self.config.words_per_line()));
         self
     }
@@ -862,19 +942,6 @@ impl<F: Fill> PipelineCache<F> {
     #[must_use]
     pub fn with_sharer_tracking(mut self) -> Self {
         self.sharing = Some(SharingStats::new());
-        self
-    }
-
-    /// Switches budgeted fills into the differential-testing **reference
-    /// mode**: the generator payload is regenerated and recompressed on
-    /// every access (no size cache, no skipped recomputation on data-free
-    /// write hits). For generator-driven runs this is observably identical
-    /// to the default cached-size path — the differential harness
-    /// (`tests/size_cache_equivalence.rs`) asserts exactly that — just
-    /// orders of magnitude slower. No effect on non-budgeted fills.
-    #[must_use]
-    pub fn with_reference_recompression(mut self) -> Self {
-        self.reference_recompress = true;
         self
     }
 
@@ -959,6 +1026,30 @@ impl<F: Fill> PipelineCache<F> {
             0.0
         } else {
             1.0 - self.traffic.fetched_bytes() as f64 / self.conventional_fetch_bytes as f64
+        }
+    }
+
+    /// Sectors the footprint predictor fetched beyond the demanded ones
+    /// (zero without prediction).
+    pub fn prefetched_sectors(&self) -> u64 {
+        self.footprints.as_ref().map_or(0, |f| f.prefetched_sectors)
+    }
+
+    /// Prefetched sectors that left the cache without being accessed
+    /// (zero without prediction).
+    pub fn overfetched_sectors(&self) -> u64 {
+        self.footprints
+            .as_ref()
+            .map_or(0, |f| f.overfetched_sectors)
+    }
+
+    /// Of all prefetched sectors, the fraction never used before the line
+    /// left the cache: wasted bandwidth, 0 for a perfect predictor (and
+    /// without prediction).
+    pub fn overfetch_fraction(&self) -> f64 {
+        match self.prefetched_sectors() {
+            0 => 0.0,
+            prefetched => self.overfetched_sectors() as f64 / prefetched as f64,
         }
     }
 
@@ -1058,6 +1149,9 @@ impl<F: Fill> PipelineCache<F> {
         let core_bit = 1u64 << u64::from(core).min(63);
         let sector_size = self.sector_size;
         let sector_bit = 1u64 << (offset >> self.sector_shift);
+        // Constant per fill type, so the engines of non-predicting fills
+        // compile without the footprint predictor's per-access work.
+        let predicts = self.fill.predicts_footprints();
 
         let Self {
             storage,
@@ -1069,14 +1163,13 @@ impl<F: Fill> PipelineCache<F> {
             conventional_fetch_bytes,
             word_usage,
             sharing,
+            footprints,
             seen_lines,
             set_rngs,
             scratch,
             size_memo,
-            reference_recompress,
             ..
         } = self;
-        let reference = *reference_recompress;
         // The set's own replacement stream (populated iff the policy is
         // Random); drawn only by the Random arms below.
         let mut set_rng = set_rngs.get_mut(set_idx);
@@ -1085,6 +1178,7 @@ impl<F: Fill> PipelineCache<F> {
             traffic,
             word_usage: word_usage.as_mut(),
             sharing: sharing.as_mut(),
+            footprints: footprints.as_mut(),
         };
         let mut evictions = Evictions::None;
 
@@ -1098,6 +1192,9 @@ impl<F: Fill> PipelineCache<F> {
                     meta.last_used = tick;
                     meta.word_mask |= word_bit;
                     meta.sharers |= core_bit;
+                    if predicts {
+                        meta.prefetched &= !sector_bit;
+                    }
                     let sector_present = meta.valid_sectors & sector_bit != 0;
                     meta.valid_sectors |= sector_bit;
                     if is_write {
@@ -1132,7 +1229,13 @@ impl<F: Fill> PipelineCache<F> {
                 // Line miss: classify, choose a frame, fill.
                 let cold = seen_lines.insert(tag);
                 observers.stats.record_miss(cold);
-                observers.traffic.record_fetch(sector_size);
+                let prefetched = if predicts {
+                    observers.predict(tag, sector_bit)
+                } else {
+                    0
+                };
+                let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
+                observers.traffic.record_fetch(fetched);
                 *conventional_fetch_bytes += line_size;
                 let occ = sets.occupied[set_idx];
                 let first_empty = (!occ).trailing_zeros() as usize;
@@ -1163,8 +1266,9 @@ impl<F: Fill> PipelineCache<F> {
                 }
                 sets.tags[base + victim_way] = tag;
                 sets.meta[base + victim_way] = LineMeta {
-                    valid_sectors: sector_bit,
+                    valid_sectors: sector_bit | prefetched,
                     dirty_sectors: if is_write { sector_bit } else { 0 },
+                    prefetched,
                     last_used: tick,
                     inserted: tick,
                     word_mask: word_bit,
@@ -1177,7 +1281,7 @@ impl<F: Fill> PipelineCache<F> {
                 }
                 AccessOutcome {
                     hit: false,
-                    fetched_bytes: sector_size,
+                    fetched_bytes: fetched,
                     evictions,
                 }
             }
@@ -1189,6 +1293,9 @@ impl<F: Fill> PipelineCache<F> {
                     meta.last_used = tick;
                     meta.word_mask |= word_bit;
                     meta.sharers |= core_bit;
+                    if predicts {
+                        meta.prefetched &= !sector_bit;
+                    }
                     let sector_present = meta.valid_sectors & sector_bit != 0;
                     meta.valid_sectors |= sector_bit;
                     let mut size_changed = false;
@@ -1200,31 +1307,14 @@ impl<F: Fill> PipelineCache<F> {
                         // i.e. when the caller supplied data. Data-free
                         // writes take their payload from the value
                         // generator, a pure function of the address, so the
-                        // size cannot change (the reference mode recomputes
-                        // anyway and the differential harness proves the
-                        // statistics identical).
-                        let new_size = match data {
-                            Some(d) => Some(payload_stored_size(fill, line_size, d)),
-                            None if reference => Some(generated_stored_size(
-                                fill, line_size, tag, scratch, size_memo, false,
-                            )),
-                            None => None,
-                        };
-                        if let Some(new_size) = new_size {
+                        // size cannot change (the test oracle recompresses
+                        // on every access and asserts exactly that).
+                        if let Some(d) = data {
+                            let new_size = payload_stored_size(fill, line_size, d);
                             size_changed = new_size != meta.size_bytes;
                             set.occupied_bytes = set.occupied_bytes - meta.size_bytes + new_size;
                             meta.size_bytes = new_size;
                         }
-                    } else if reference && data.is_none() {
-                        // Reference mode recompresses on clean hits too,
-                        // asserting in spirit what the fast path assumes:
-                        // a clean access cannot change the stored size.
-                        let recomputed =
-                            generated_stored_size(fill, line_size, tag, scratch, size_memo, false);
-                        debug_assert_eq!(
-                            recomputed, meta.size_bytes,
-                            "clean access changed a generator-backed stored size"
-                        );
                     }
                     let hit = sector_present;
                     if hit {
@@ -1239,7 +1329,7 @@ impl<F: Fill> PipelineCache<F> {
                     // a write that provably kept the size unchanged cannot
                     // overflow the set; the historical unconditional shrink
                     // was a no-op there (and drew no Random numbers).
-                    if is_write && (size_changed || reference) {
+                    if size_changed {
                         shrink_to_budget(
                             set,
                             *set_budget,
@@ -1264,19 +1354,24 @@ impl<F: Fill> PipelineCache<F> {
                 // compressed afresh.
                 let cold = seen_lines.insert(tag);
                 observers.stats.record_miss(cold);
-                observers.traffic.record_fetch(sector_size);
+                let prefetched = if predicts {
+                    observers.predict(tag, sector_bit)
+                } else {
+                    0
+                };
+                let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
+                observers.traffic.record_fetch(fetched);
                 *conventional_fetch_bytes += line_size;
                 let size = match data {
                     Some(d) => payload_stored_size(fill, line_size, d),
-                    None => {
-                        generated_stored_size(fill, line_size, tag, scratch, size_memo, !reference)
-                    }
+                    None => generated_stored_size(fill, line_size, tag, scratch, size_memo),
                 };
                 compression.record(line_size as usize, size as usize);
                 set.tags.push(tag);
                 set.meta.push(LineMeta {
-                    valid_sectors: sector_bit,
+                    valid_sectors: sector_bit | prefetched,
                     dirty_sectors: if is_write { sector_bit } else { 0 },
+                    prefetched,
                     last_used: tick,
                     inserted: tick,
                     word_mask: word_bit,
@@ -1296,7 +1391,7 @@ impl<F: Fill> PipelineCache<F> {
                 );
                 AccessOutcome {
                     hit: false,
-                    fetched_bytes: sector_size,
+                    fetched_bytes: fetched,
                     evictions,
                 }
             }
@@ -1417,6 +1512,7 @@ impl<F: Fill> PipelineCache<F> {
             traffic: &mut self.traffic,
             word_usage: self.word_usage.as_mut(),
             sharing: self.sharing.as_mut(),
+            footprints: self.footprints.as_mut(),
         }
     }
 }
@@ -1446,6 +1542,20 @@ impl PipelineCache<SectoredFill> {
     /// not divide the line size into at least one byte per sector.
     pub fn new(config: CacheConfig, sectors_per_line: u32) -> Self {
         Self::with_fill(config, SectoredFill::new(sectors_per_line))
+    }
+}
+
+impl PipelineCache<PredictiveSectoredFill> {
+    /// Builds a sectored cache with a last-footprint predictor;
+    /// `sectors_per_line` must be a power of two between 1 and the line
+    /// size in bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sectors_per_line` is zero, not a power of two, or does
+    /// not divide the line size into at least one byte per sector.
+    pub fn new(config: CacheConfig, sectors_per_line: u32) -> Self {
+        Self::with_fill(config, PredictiveSectoredFill::new(sectors_per_line))
     }
 }
 
@@ -1495,22 +1605,17 @@ fn payload_stored_size<F: Fill>(fill: &F, line_size: u64, data: &[u8]) -> u64 {
 /// Stored size of the *generator-backed* payload for `tag`'s line.
 ///
 /// Generator payloads are a pure function of `(seed, address)`, so the
-/// size is memoised per tag when `use_memo` is set (the reference
-/// recompression mode passes `false` to force a fresh compressor call
-/// every time). The scratch buffer is reused across calls, so the steady
-/// state allocates nothing.
+/// size is memoised per tag. The scratch buffer is reused across calls,
+/// so the steady state allocates nothing.
 fn generated_stored_size<F: Fill>(
     fill: &F,
     line_size: u64,
     tag: u64,
     scratch: &mut Vec<u8>,
     memo: &mut HashMap<u64, u64>,
-    use_memo: bool,
 ) -> u64 {
-    if use_memo {
-        if let Some(&size) = memo.get(&tag) {
-            return size;
-        }
+    if let Some(&size) = memo.get(&tag) {
+        return size;
     }
     if !fill.generate_into(tag * line_size, line_size as usize, scratch) {
         panic!(
@@ -1523,9 +1628,7 @@ fn generated_stored_size<F: Fill>(
         .stored_size(scratch)
         .expect("budgeted fill reports a stored size");
     let size = (size as u64).min(line_size);
-    if use_memo {
-        memo.insert(tag, size);
-    }
+    memo.insert(tag, size);
     size
 }
 
@@ -1726,6 +1829,7 @@ mod tests {
                 meta: vec![LineMeta {
                     valid_sectors: 1,
                     dirty_sectors: 1,
+                    prefetched: 0,
                     last_used: 1,
                     inserted: 1,
                     word_mask: 1,
@@ -1741,6 +1845,7 @@ mod tests {
                 traffic: &mut traffic,
                 word_usage: None,
                 sharing: None,
+                footprints: None,
             };
             let mut evictions = Evictions::None;
             let mut rng = Rng::seed_from_stream(0, 0);

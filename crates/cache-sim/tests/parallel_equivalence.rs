@@ -342,7 +342,7 @@ fn parallel_runs_are_repeatable() {
 }
 
 /// The unified-pipeline fill grid: every [`FillSpec`] the engine knows.
-fn fill_specs() -> [FillSpec; 4] {
+fn fill_specs() -> [FillSpec; 5] {
     let values = ValueSpec {
         profile: ProfileKind::Commercial,
         seed: 11,
@@ -350,6 +350,9 @@ fn fill_specs() -> [FillSpec; 4] {
     [
         FillSpec::FullLine,
         FillSpec::Sectored {
+            sectors_per_line: 8,
+        },
+        FillSpec::PredictiveSectored {
             sectors_per_line: 8,
         },
         FillSpec::Compressed {

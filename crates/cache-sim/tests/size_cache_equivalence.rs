@@ -1,15 +1,15 @@
 //! The size-cache differential harness: the compressed-cache fast path
 //! (per-line size cache + tag → size memo + skipped recomputation on
-//! data-free write hits) must be observably identical to the
-//! recompress-every-access **reference mode**
-//! ([`EngineSimConfig::run_reference`]) — byte for byte, across
-//! compressors, value profiles, write ratios, and thread counts.
+//! data-free write hits) must be observably identical to the test
+//! oracle (`oracle/mod.rs`), which recompresses the line payload on every
+//! access — byte for byte, across compressors, value profiles, write
+//! ratios, and thread counts.
 //!
 //! Three layers of proof:
 //!
-//! 1. **Differential grid** — full [`EngineSimStats`] equality (hit/miss
+//! 1. **Differential grid** — full `EngineSimStats` equality (hit/miss
 //!    counters, traffic bytes, compression statistics) between the
-//!    reference mode and the cached-size path at threads 1, 2, 4, and 8.
+//!    oracle and the cached-size path at threads 1, 2, 4, and 8.
 //! 2. **Property tests** — arbitrary interleavings of reads, dirty
 //!    writes, payload-carrying writes, invalidations, and flushes against
 //!    one set never leave a resident line whose cached size disagrees
@@ -20,6 +20,8 @@
 //!    proves clean read hits and data-free dirty-write hits make zero
 //!    compressor calls, and that refills of previously sized lines are
 //!    served from the tag → size memo.
+
+mod oracle;
 
 use bandwall_cache_sim::{
     CacheConfig, CompressedFill, CompressorKind, EngineSimConfig, FillSpec, PipelineCache,
@@ -48,7 +50,7 @@ const WRITE_FRACTIONS: [f64; 2] = [0.15, 0.6];
 
 const LINE: u64 = 64;
 
-/// A fresh, identically seeded trace per call, so the reference and every
+/// A fresh, identically seeded trace per call, so the oracle and every
 /// thread count see the same access stream. The working set (300 shared +
 /// 4 × 200 private lines) overflows the 16 KiB grid cache, keeping
 /// budgeted evictions and refills continuous.
@@ -61,7 +63,7 @@ fn grid_trace(write_fraction: f64, seed: u64) -> ParsecLikeTrace {
 }
 
 /// Runs one fill through the full profile × write-ratio × thread grid.
-fn assert_matches_reference(fill_for: impl Fn(ProfileKind) -> FillSpec, accesses: usize) {
+fn assert_matches_oracle(fill_for: impl Fn(ProfileKind) -> FillSpec, accesses: usize) {
     for profile in PROFILES {
         let fill = fill_for(profile);
         let config = EngineSimConfig {
@@ -71,12 +73,11 @@ fn assert_matches_reference(fill_for: impl Fn(ProfileKind) -> FillSpec, accesses
         };
         for write_fraction in WRITE_FRACTIONS {
             let seed = 97 ^ (write_fraction * 10.0) as u64;
-            let reference =
-                config.run_reference(&mut grid_trace(write_fraction, seed), accesses, 1);
+            let expected = oracle::run(&config, &mut grid_trace(write_fraction, seed), accesses);
             for threads in THREADS {
                 let fast = config.run(&mut grid_trace(write_fraction, seed), accesses, threads);
                 assert_eq!(
-                    reference, fast,
+                    expected, fast,
                     "fill {fill:?}, profile {profile:?}, write fraction {write_fraction}, \
                      threads {threads}"
                 );
@@ -93,30 +94,30 @@ fn compressed(compressor: CompressorKind) -> impl Fn(ProfileKind) -> FillSpec {
 }
 
 #[test]
-fn fpc_grid_matches_reference() {
-    assert_matches_reference(compressed(CompressorKind::Fpc), 8_000);
+fn fpc_grid_matches_oracle() {
+    assert_matches_oracle(compressed(CompressorKind::Fpc), 8_000);
 }
 
 #[test]
-fn bdi_grid_matches_reference() {
-    assert_matches_reference(compressed(CompressorKind::Bdi), 8_000);
+fn bdi_grid_matches_oracle() {
+    assert_matches_oracle(compressed(CompressorKind::Bdi), 8_000);
 }
 
 #[test]
-fn zero_rle_grid_matches_reference() {
-    assert_matches_reference(compressed(CompressorKind::ZeroRle), 8_000);
+fn zero_rle_grid_matches_oracle() {
+    assert_matches_oracle(compressed(CompressorKind::ZeroRle), 8_000);
 }
 
 #[test]
-fn best_of_grid_matches_reference() {
-    assert_matches_reference(compressed(CompressorKind::BestOf), 6_000);
+fn best_of_grid_matches_oracle() {
+    assert_matches_oracle(compressed(CompressorKind::BestOf), 6_000);
 }
 
 #[test]
-fn sectored_compressed_grid_matches_reference() {
+fn sectored_compressed_grid_matches_oracle() {
     // The composed fill shares the whole budgeted size path; one exact
     // compressor covers it without re-running the full compressor axis.
-    assert_matches_reference(
+    assert_matches_oracle(
         |profile| FillSpec::SectoredCompressed {
             sectors_per_line: 8,
             compressor: CompressorKind::Fpc,
@@ -124,28 +125,6 @@ fn sectored_compressed_grid_matches_reference() {
         },
         6_000,
     );
-}
-
-#[test]
-fn reference_mode_itself_banks_bit_identically() {
-    // The reference mode is the yardstick: it must itself be independent
-    // of the bank count, or grid failures would be ambiguous.
-    let config = EngineSimConfig {
-        cache: CacheConfig::new(16 << 10, LINE, 8).unwrap(),
-        fill: FillSpec::Compressed {
-            compressor: CompressorKind::Fpc,
-            values: ValueSpec {
-                profile: ProfileKind::Commercial,
-                seed: 11,
-            },
-        },
-        flush: true,
-    };
-    let sequential = config.run_reference(&mut grid_trace(0.5, 7), 8_000, 1);
-    for threads in [2, 8] {
-        let banked = config.run_reference(&mut grid_trace(0.5, 7), 8_000, threads);
-        assert_eq!(sequential, banked, "reference mode, threads {threads}");
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,83 +1,14 @@
-//! Deterministic chunked trace generation for parallel consumers.
+//! Recorded traces: generate a stream once, replay it many times.
 //!
-//! The parallel simulation engine wants the trace in fixed-size batches
-//! it can hand to worker threads, while keeping the *stream* — and
-//! therefore every downstream statistic — identical to sequential
-//! generation. [`TraceChunks`] cuts any [`TraceSource`] into chunks whose
-//! concatenation is exactly `trace.iter().take(total)`: the chunk
-//! boundaries are presentation, not semantics.
-//!
-//! For generators that are independent per worker (no cross-thread
-//! state), `bandwall_numerics::Rng::split` provides the complementary
-//! primitive: decorrelated per-worker RNG streams off one seed.
+//! [`materialize`] records the first accesses of any [`TraceSource`];
+//! [`ReplayTrace`] feeds a recording back as a trace source. Experiments
+//! that run several caches over one workload generate it once this way,
+//! and the performance harness uses it to time simulation without
+//! generation.
 
 use crate::access::{MemoryAccess, TraceSource};
 
-/// Iterator of fixed-size access chunks drawn from a trace source.
-///
-/// Yields `ceil(total / chunk_len)` chunks; every chunk holds
-/// `chunk_len` accesses except possibly the last. The concatenation of
-/// all chunks equals the first `total` accesses of the source, in order.
-///
-/// # Examples
-///
-/// ```
-/// use bandwall_trace::{ParsecLikeTrace, TraceChunks, TraceSource};
-///
-/// let mut chunked = ParsecLikeTrace::builder(4).seed(3).build();
-/// let mut plain = ParsecLikeTrace::builder(4).seed(3).build();
-/// let rejoined: Vec<_> = TraceChunks::new(&mut chunked, 1000, 64).flatten().collect();
-/// let direct: Vec<_> = plain.iter().take(1000).collect();
-/// assert_eq!(rejoined, direct);
-/// ```
-#[derive(Debug)]
-pub struct TraceChunks<'a, T> {
-    source: &'a mut T,
-    remaining: usize,
-    chunk_len: usize,
-}
-
-impl<'a, T: TraceSource> TraceChunks<'a, T> {
-    /// Cuts the first `total` accesses of `source` into chunks of
-    /// `chunk_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero.
-    pub fn new(source: &'a mut T, total: usize, chunk_len: usize) -> Self {
-        assert!(chunk_len > 0, "chunk length must be non-zero");
-        TraceChunks {
-            source,
-            remaining: total,
-            chunk_len,
-        }
-    }
-
-    /// Accesses not yet emitted.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
-impl<T: TraceSource> Iterator for TraceChunks<'_, T> {
-    type Item = Vec<MemoryAccess>;
-
-    fn next(&mut self) -> Option<Vec<MemoryAccess>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let len = self.chunk_len.min(self.remaining);
-        self.remaining -= len;
-        let mut chunk = Vec::with_capacity(len);
-        for _ in 0..len {
-            chunk.push(self.source.next_access());
-        }
-        Some(chunk)
-    }
-}
-
-/// Materialises the first `total` accesses of a trace into one vector
-/// (the degenerate single-chunk case, handy for replay benchmarks).
+/// Materialises the first `total` accesses of a trace into one vector.
 pub fn materialize<T: TraceSource>(source: &mut T, total: usize) -> Vec<MemoryAccess> {
     let mut out = Vec::with_capacity(total);
     for _ in 0..total {
@@ -162,49 +93,7 @@ impl TraceSource for ReplayTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parsec_like::ParsecLikeTrace;
     use crate::stack_distance::StackDistanceTrace;
-
-    #[test]
-    fn chunks_rejoin_to_the_sequential_stream() {
-        for chunk_len in [1usize, 7, 64, 1000, 5000] {
-            let mut chunked = ParsecLikeTrace::builder_with_regions(8, 300, 500)
-                .seed(17)
-                .build();
-            let mut plain = ParsecLikeTrace::builder_with_regions(8, 300, 500)
-                .seed(17)
-                .build();
-            let rejoined: Vec<_> = TraceChunks::new(&mut chunked, 3000, chunk_len)
-                .flatten()
-                .collect();
-            let direct: Vec<_> = plain.iter().take(3000).collect();
-            assert_eq!(rejoined, direct, "chunk_len {chunk_len}");
-        }
-    }
-
-    #[test]
-    fn chunk_sizes_cover_exactly_total() {
-        let mut t = StackDistanceTrace::builder(0.5).seed(2).build();
-        let sizes: Vec<usize> = TraceChunks::new(&mut t, 1050, 500)
-            .map(|c| c.len())
-            .collect();
-        assert_eq!(sizes, [500, 500, 50]);
-    }
-
-    #[test]
-    fn zero_total_yields_no_chunks() {
-        let mut t = StackDistanceTrace::builder(0.5).seed(2).build();
-        assert_eq!(TraceChunks::new(&mut t, 0, 64).count(), 0);
-    }
-
-    #[test]
-    fn remaining_counts_down() {
-        let mut t = StackDistanceTrace::builder(0.5).seed(2).build();
-        let mut chunks = TraceChunks::new(&mut t, 100, 40);
-        assert_eq!(chunks.remaining(), 100);
-        chunks.next();
-        assert_eq!(chunks.remaining(), 60);
-    }
 
     #[test]
     fn materialize_matches_iter() {
@@ -233,12 +122,5 @@ mod tests {
     #[should_panic(expected = "at least one access")]
     fn empty_replay_panics() {
         ReplayTrace::new(Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk length must be non-zero")]
-    fn zero_chunk_len_panics() {
-        let mut t = StackDistanceTrace::builder(0.5).seed(2).build();
-        let _ = TraceChunks::new(&mut t, 10, 0);
     }
 }

@@ -21,9 +21,9 @@
 //!   size an access misses at.
 //! * [`values`] — deterministic line *payload* generation for the
 //!   compression studies.
-//! * [`TraceChunks`] / [`materialize`] — deterministic chunked
-//!   generation for parallel consumers: chunk boundaries never change
-//!   the stream.
+//! * [`materialize`] / [`ReplayTrace`] — record a stream once and
+//!   replay it, so several caches (or timed benchmark iterations) see the
+//!   same accesses without regenerating them.
 //!
 //! Everything is seeded and reproducible: the same seed always produces
 //! the same trace.
@@ -66,7 +66,7 @@ mod working_set;
 mod zipf;
 
 pub use access::{AccessKind, MemoryAccess, TraceIter, TraceSource};
-pub use chunked::{materialize, ReplayTrace, TraceChunks};
+pub use chunked::{materialize, ReplayTrace};
 pub use mix::{MixTrace, MixTraceBuilder};
 pub use parsec_like::{ParsecLikeTrace, ParsecLikeTraceBuilder};
 pub use pointer_chase::{PointerChaseTrace, PointerChaseTraceBuilder};
