@@ -11,12 +11,12 @@
 use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, InclusionPolicy, TwoLevelHierarchy};
+use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
 use bandwall_trace::{materialize, MemoryAccess, ZipfTrace};
 
 const ACCESSES: usize = 150_000;
 
-/// Inclusion-policy ablation on the two-level hierarchy simulator.
+/// Inclusion-policy ablation on a one-core L1 + private L2 hierarchy.
 #[derive(Debug, Clone)]
 pub struct AblateInclusion {
     /// Trace seed (historical default 42).
@@ -32,16 +32,21 @@ impl AblateInclusion {
         materialize(&mut trace, ACCESSES)
     }
 
-    fn traffic(&self, stream: &[MemoryAccess], inclusion: InclusionPolicy) -> u64 {
-        let mut h = TwoLevelHierarchy::new(
-            CacheConfig::new(8 << 10, 64, 4).expect("valid L1"), // 128 lines
-            CacheConfig::new(32 << 10, 64, 8).expect("valid L2"), // 512 lines
-        )
-        .with_inclusion(inclusion);
+    fn traffic(
+        &self,
+        stream: &[MemoryAccess],
+        organization: L2Organization,
+    ) -> Result<u64, ExperimentError> {
+        let mut h = CmpSystem::try_new(
+            1,
+            CacheConfig::new(8 << 10, 64, 4)?,  // 128 lines
+            CacheConfig::new(32 << 10, 64, 8)?, // 512 lines
+            organization,
+        )?;
         for a in stream {
-            h.access(a.address(), a.kind().is_write());
+            h.access(*a);
         }
-        h.memory_traffic().total_bytes()
+        Ok(h.memory_traffic().total_bytes())
     }
 }
 
@@ -69,9 +74,9 @@ impl Experiment for AblateInclusion {
         ]);
         for ws in [256usize, 512, 640, 768, 1024, 2048] {
             let stream = self.stream(ws);
-            let ni = self.traffic(&stream, InclusionPolicy::NonInclusive);
-            let inc = self.traffic(&stream, InclusionPolicy::Inclusive);
-            let exc = self.traffic(&stream, InclusionPolicy::Exclusive);
+            let ni = self.traffic(&stream, L2Organization::Private)?;
+            let inc = self.traffic(&stream, L2Organization::InclusivePrivate)?;
+            let exc = self.traffic(&stream, L2Organization::ExclusivePrivate)?;
             let ratio = exc as f64 / inc as f64;
             table.push_row(vec![
                 Value::fmt(format!("{} KB", ws * 64 / 1024), (ws * 64 / 1024) as f64),

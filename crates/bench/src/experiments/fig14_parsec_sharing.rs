@@ -13,6 +13,7 @@
 //! of 4, 8 and 16 cores).
 
 use crate::error::ExperimentError;
+use crate::perf::host_parallelism;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, CmpSimConfig, FillSpec, L2Organization};
@@ -43,11 +44,8 @@ impl Fig14ParsecSharing {
             .build();
         // The banked engine is bit-identical at every thread count, so
         // threading never moves the reported numbers.
-        let threads = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
         let stats = sim
-            .run(&mut trace, ACCESSES, threads)
+            .run(&mut trace, ACCESSES, host_parallelism())
             .expect("valid geometry");
         stats
             .sharing

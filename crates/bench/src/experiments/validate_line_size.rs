@@ -11,12 +11,12 @@
 use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, TwoLevelHierarchy};
+use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
 use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
 
 const ACCESSES: usize = 250_000;
 
-/// Line-size validation on the two-level hierarchy simulator.
+/// Line-size validation on a one-core L1 + private L2 hierarchy.
 #[derive(Debug, Clone)]
 pub struct ValidateLineSize {
     /// Trace seed (historical default 17).
@@ -37,15 +37,21 @@ impl ValidateLineSize {
         materialize(&mut trace, ACCESSES)
     }
 
-    fn traffic_for_line_size(&self, stream: &[MemoryAccess], line: u64) -> u64 {
-        let mut h = TwoLevelHierarchy::new(
-            CacheConfig::new(4 << 10, line, 2).expect("valid L1"),
-            CacheConfig::new(128 << 10, line, 8).expect("valid L2"),
-        );
+    fn traffic_for_line_size(
+        &self,
+        stream: &[MemoryAccess],
+        line: u64,
+    ) -> Result<u64, ExperimentError> {
+        let mut h = CmpSystem::try_new(
+            1,
+            CacheConfig::new(4 << 10, line, 2)?,
+            CacheConfig::new(128 << 10, line, 8)?,
+            L2Organization::Private,
+        )?;
         for a in stream {
-            h.access_from(a.thread(), a.address(), a.kind().is_write());
+            h.access(*a);
         }
-        h.memory_traffic().total_bytes()
+        Ok(h.memory_traffic().total_bytes())
     }
 }
 
@@ -66,10 +72,10 @@ impl Experiment for ValidateLineSize {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let mut table = TableBlock::new(&["line size", "total traffic", "bytes/access", "vs 64 B"]);
         let stream = self.stream();
-        let traffic: Vec<(u64, u64)> = [16u64, 32, 64, 128]
+        let traffic = [16u64, 32, 64, 128]
             .into_iter()
-            .map(|line| (line, self.traffic_for_line_size(&stream, line)))
-            .collect();
+            .map(|line| Ok((line, self.traffic_for_line_size(&stream, line)?)))
+            .collect::<Result<Vec<_>, ExperimentError>>()?;
         let reference = traffic
             .iter()
             .find(|&&(line, _)| line == 64)

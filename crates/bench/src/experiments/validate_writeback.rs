@@ -10,10 +10,10 @@
 use crate::error::ExperimentError;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, TwoLevelHierarchy};
+use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
 use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
 
-/// Write-back ratio validation on the two-level hierarchy simulator.
+/// Write-back ratio validation on a one-core L1 + private L2 hierarchy.
 #[derive(Debug, Clone)]
 pub struct ValidateWriteback {
     /// Trace seed (historical default 99).
@@ -31,15 +31,18 @@ impl ValidateWriteback {
         materialize(&mut trace, 300_000)
     }
 
-    fn rwb(&self, stream: &[MemoryAccess], l2_kb: u64) -> (f64, f64) {
-        let mut h = TwoLevelHierarchy::new(
-            CacheConfig::new(4 << 10, 64, 2).expect("valid L1"),
-            CacheConfig::new(l2_kb << 10, 64, 8).expect("valid L2"),
-        );
+    fn rwb(&self, stream: &[MemoryAccess], l2_kb: u64) -> Result<(f64, f64), ExperimentError> {
+        let mut h = CmpSystem::try_new(
+            1,
+            CacheConfig::new(4 << 10, 64, 2)?,
+            CacheConfig::new(l2_kb << 10, 64, 8)?,
+            L2Organization::Private,
+        )?;
         for a in stream {
-            h.access_from(a.thread(), a.address(), a.kind().is_write());
+            h.access(*a);
         }
-        (h.l2().stats().writeback_ratio(), h.l2().stats().miss_rate())
+        let l2 = h.l2_stats();
+        Ok((l2.writeback_ratio(), l2.miss_rate()))
     }
 }
 
@@ -64,7 +67,7 @@ impl Experiment for ValidateWriteback {
             let mut table = TableBlock::new(&["L2 size", "rwb (writebacks/miss)", "L2 miss rate"]);
             let stream = self.stream(wf);
             for l2_kb in [16u64, 32, 64, 128, 256] {
-                let (ratio, miss) = self.rwb(&stream, l2_kb);
+                let (ratio, miss) = self.rwb(&stream, l2_kb)?;
                 table.push_row(vec![
                     Value::fmt(format!("{l2_kb} KB"), l2_kb as f64),
                     Value::float(ratio, 3),

@@ -48,6 +48,7 @@ use bandwall_model::{
 };
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
 use bandwall_trace::{materialize, ParsecLikeTrace, ReplayTrace};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The bench groups, in presentation order.
@@ -209,11 +210,11 @@ fn time_samples<F: FnMut()>(options: &BenchOptions, mut kernel: F) -> Vec<u64> {
         .collect()
 }
 
-/// `std::thread::available_parallelism()`, or 1 when it is unknown.
+/// `std::thread::available_parallelism()`, or 1 when it is unknown, read
+/// once per process: the lookup reads cgroup files on every call.
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Runs one bench group by name.

@@ -17,8 +17,8 @@ pub enum Align {
 /// use bandwall_experiments::render::Table;
 ///
 /// let mut t = Table::new(&["technique", "cores"]);
-/// t.row(&["DRAM", "18"]);
-/// t.row(&["3D", "14"]);
+/// t.row(vec!["DRAM".into(), "18".into()]);
+/// t.row(vec!["3D".into(), "14".into()]);
 /// let out = t.render();
 /// assert!(out.contains("DRAM"));
 /// assert!(out.lines().count() >= 4);
@@ -39,14 +39,7 @@ impl Table {
     }
 
     /// Appends a row; missing cells render empty, extra cells are kept.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends a row of owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
+    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         self.rows.push(cells);
         self
     }
@@ -102,11 +95,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Renders a horizontal ASCII bar of `value` scaled so `max` spans
@@ -129,20 +117,19 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Formats a float with `digits` decimals, trimming to a compact form.
-pub fn fnum(value: f64, digits: usize) -> String {
-    format!("{value:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cells(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn table_aligns_columns() {
         let mut t = Table::new(&["name", "value"]);
-        t.row(&["a", "1"]);
-        t.row(&["longer", "12345"]);
+        t.row(cells(&["a", "1"]));
+        t.row(cells(&["longer", "12345"]));
         let out = t.render();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -158,17 +145,10 @@ mod tests {
     #[test]
     fn table_handles_ragged_rows() {
         let mut t = Table::new(&["a"]);
-        t.row(&["x", "extra"]);
-        t.row(&[]);
+        t.row(cells(&["x", "extra"]));
+        t.row(Vec::new());
         let out = t.render();
         assert_eq!(out.lines().count(), 4);
-    }
-
-    #[test]
-    fn row_owned_works() {
-        let mut t = Table::new(&["a"]);
-        t.row_owned(vec!["1".to_string()]);
-        assert!(t.render().contains('1'));
     }
 
     #[test]
@@ -176,11 +156,5 @@ mod tests {
         assert_eq!(bar(2.5, 10.0, 20), "#####");
         assert_eq!(bar(20.0, 10.0, 10), "##########", "clamped at width");
         assert_eq!(bar(1.0, 0.0, 10), "");
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(fnum(2.0, 0), "2");
     }
 }

@@ -68,11 +68,6 @@ impl Value {
         }
     }
 
-    /// The exact ASCII rendering of the cell.
-    pub fn as_text(&self) -> &str {
-        &self.text
-    }
-
     /// The machine-readable value, when the cell has one.
     pub fn num(&self) -> Option<f64> {
         self.num
@@ -119,7 +114,7 @@ impl TableBlock {
         let headers: Vec<&str> = self.columns.iter().map(String::as_str).collect();
         let mut t = Table::new(&headers);
         for row in &self.rows {
-            t.row_owned(row.iter().map(|v| v.text.clone()).collect());
+            t.row(row.iter().map(|v| v.text.clone()).collect());
         }
         t.render()
     }

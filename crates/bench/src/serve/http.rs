@@ -263,23 +263,13 @@ impl Response {
         bytes
     }
 
-    /// Writes the response in one `write_all` + flush.
+    /// Writes the response in one `write_all` + flush, serialising
+    /// through the caller's reusable buffer.
     ///
     /// # Errors
     ///
     /// Propagates socket errors (the caller treats them as a dead
     /// client and closes).
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(&self.to_bytes())?;
-        writer.flush()
-    }
-
-    /// Like [`Response::write_to`], but serialises through the caller's
-    /// reusable buffer instead of allocating one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
     pub fn write_buffered<W: Write>(
         &self,
         writer: &mut W,

@@ -26,6 +26,7 @@
 //! supervisor's respawn path without ever eating a request.
 
 use crate::fault::{Fault, FaultPoint, Injector};
+use crate::perf::host_parallelism;
 use crate::serve::api::{
     batch_body, error_body, solve_fragment, sweep_body, techniques_body, wrap_ok, ApiError,
     ApiRequest, BatchJob, BatchRequest, Endpoint, ErrorKind as ApiErrorKind, RouteMatch,
@@ -463,13 +464,6 @@ fn job_solves(job: &Result<BatchJob, ApiError>) -> usize {
         Ok(BatchJob::Sweep(sweep)) => sweep.variants.len(),
         Err(_) => 0,
     }
-}
-
-/// The host's parallelism, read once: the lookup reads cgroup files on
-/// every call.
-fn host_parallelism() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
 /// Runs a batch and renders the reply. A batch with fewer than

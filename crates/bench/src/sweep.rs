@@ -172,33 +172,20 @@ pub fn add_paper_metrics(report: &mut Report, variants: &[Variant], results: &[u
     }
 }
 
-/// Solves every variant, prints the table, and returns the core counts
-/// (the historical all-in-one entry point).
-///
-/// # Panics
-///
-/// Panics if any variant is infeasible; [`sweep_block`] is the fallible
-/// equivalent.
-pub fn run_next_generation_sweep(variants: &[Variant]) -> Vec<u64> {
-    let (table, results) = sweep_block(variants).expect("feasible sweep variants");
-    print!("{}", table.to_ascii());
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn base_variant_yields_11() {
-        let out = run_next_generation_sweep(&[Variant::new("base", None, Some(11))]);
+        let (_, out) = sweep_block(&[Variant::new("base", None, Some(11))]).unwrap();
         assert_eq!(out, vec![11]);
     }
 
     #[test]
     fn technique_variant_applies() {
         let t = Technique::dram_cache(8.0).unwrap();
-        let out = run_next_generation_sweep(&[Variant::new("dram", Some(t), None)]);
+        let (_, out) = sweep_block(&[Variant::new("dram", Some(t), None)]).unwrap();
         assert_eq!(out, vec![18]);
     }
 

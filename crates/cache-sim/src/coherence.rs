@@ -258,14 +258,12 @@ impl<F: Fill> CoherentCmp<F> {
             entry.owner = Some(core);
         } else if entry.owner.is_some() && entry.owner != Some(core) {
             // Read of a modified line: owner downgrades to Shared; the
-            // dirty data is forwarded on chip (and, per MSI, written back).
+            // dirty data is forwarded on chip and, per MSI, written back.
+            // The owner's copy stays valid but clean, so a later eviction
+            // does not write the same data back a second time.
             let owner = entry.owner.take().expect("checked above");
-            // Mark the owner's copy clean by extracting + refilling would
-            // disturb LRU; instead account the write-back and leave the
-            // line (it stays valid in Shared state).
-            let owner_addr = line * self.line_size;
-            if self.caches[owner as usize].contains(owner_addr) {
-                self.traffic.record_writeback(self.line_size);
+            if let Some(bytes) = self.caches[owner as usize].clean(line * self.line_size) {
+                self.traffic.record_writeback(bytes);
             }
         }
     }
@@ -332,6 +330,17 @@ mod tests {
         let before = c.memory_traffic().written_bytes();
         c.access(MemoryAccess::read(0).on_thread(1));
         assert_eq!(c.memory_traffic().written_bytes() - before, 64);
+    }
+
+    #[test]
+    fn a_downgraded_line_is_written_back_once() {
+        let mut c = cmp(2);
+        c.access(MemoryAccess::write(0).on_thread(0));
+        c.access(MemoryAccess::read(0).on_thread(1)); // downgrade: write-back
+        assert_eq!(c.memory_traffic().written_bytes(), 64);
+        // Core 0's copy is clean now: draining it writes nothing more.
+        c.flush();
+        assert_eq!(c.memory_traffic().written_bytes(), 64);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   run.
 //! * **Victim locality.** An evicted victim shares its set with the
 //!   incoming line, hence shares its bank bits — L1 dirty victims written
-//!   through to the L2, directory updates, and invalidations all land in
+//!   through to the L2, L1 victims filling an exclusive L2, inclusive
+//!   back-invalidations, directory updates, and invalidations all land in
 //!   the bank that produced them. Mismatched L1/L2 line sizes are exactly
 //!   why the partition granularity is the *coarser* line size: every
 //!   finer-grained line inside one coarse line belongs to the same bank,
@@ -337,7 +338,9 @@ impl EngineSimConfig {
 /// [`CmpSimConfig::run`] produces bit-identical [`CmpSimStats`] at every
 /// thread count; the engine shards the system into address-interleaved
 /// banks at the coarser of the two line sizes (see the module docs for
-/// the argument). The L2 level runs any [`FillSpec`]; the L1s are always
+/// the argument). A shared or non-inclusive private L2 runs any
+/// [`FillSpec`]; inclusive and exclusive private L2s need
+/// [`FillSpec::FullLine`] and the L1's line size. The L1s are always
 /// whole-line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CmpSimConfig {
@@ -347,11 +350,13 @@ pub struct CmpSimConfig {
     pub l1: CacheConfig,
     /// L2 geometry (the one shared cache, or each private L2).
     pub l2: CacheConfig,
-    /// Shared or private L2s.
+    /// Shared L2, or private L2s (non-inclusive, inclusive or
+    /// exclusive of their core's L1).
     pub organization: L2Organization,
     /// L2 fill policy (sectored/compressed L2s compose with the CMP).
     pub l2_fill: FillSpec,
-    /// Drain the hierarchy after the trace, accounting final write-backs.
+    /// Drain both cache levels after the trace, accounting final
+    /// write-backs.
     pub flush: bool,
 }
 
@@ -408,7 +413,11 @@ impl CmpSimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when the geometry is invalid (zero cores).
+    /// Returns [`ConfigError::Zero`] for zero cores, and
+    /// [`ConfigError::OutOfRange`] when the organisation is
+    /// [`L2Organization::InclusivePrivate`] or
+    /// [`L2Organization::ExclusivePrivate`] and the L2 is sectored,
+    /// compressed, or of another line size than the L1.
     // with_fill! expands this body once per fill variant; the clone the
     // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
     #[allow(clippy::clone_on_copy)]
@@ -795,5 +804,20 @@ mod tests {
         let mut t = ParsecLikeTrace::builder(1).seed(1).build();
         assert!(c.run(&mut t, 10, 1).is_err());
         assert!(c.run(&mut t, 10, 4).is_err());
+        // Inclusion over a sectored L2 is outside the organisation's domain.
+        let mut c = shared_config();
+        c.organization = L2Organization::InclusivePrivate;
+        c.l2_fill = FillSpec::Sectored {
+            sectors_per_line: 4,
+        };
+        for threads in [1, 4] {
+            assert!(matches!(
+                c.run(&mut t, 10, threads),
+                Err(ConfigError::OutOfRange {
+                    name: "organization",
+                    ..
+                })
+            ));
+        }
     }
 }

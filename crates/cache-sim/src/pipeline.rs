@@ -551,6 +551,7 @@ impl AccessOutcome {
     /// Settles this outcome against a traffic meter: records the miss
     /// fetch (if any) and the write-back of every dirty victim. The single
     /// source of the `(1 + rwb)` bookkeeping for hierarchies and CMPs.
+    #[inline]
     pub fn settle(&self, traffic: &mut MemoryTraffic) {
         if self.fetched_bytes > 0 {
             traffic.record_fetch(self.fetched_bytes);
@@ -561,6 +562,7 @@ impl AccessOutcome {
     /// Settles only the dirty-victim write-backs (used when the fill data
     /// came from elsewhere on chip, e.g. an exclusive hierarchy moving a
     /// line between levels, or a coherent cache-to-cache transfer).
+    #[inline]
     pub fn settle_evictions(&self, traffic: &mut MemoryTraffic) {
         for v in self.evictions() {
             if v.dirty() {
@@ -611,6 +613,11 @@ struct SlottedSets {
 impl SlottedSets {
     /// First way in `set` holding `tag`, scanning ways in order — the same
     /// first-match semantics as the former per-way `Option` scan.
+    ///
+    /// Inline: the generic engine is instantiated in the crates that use
+    /// it, where a non-inline helper would be an out-of-line call on
+    /// every access.
+    #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc;
         let occ = self.occupied[set];
@@ -1447,27 +1454,42 @@ impl<F: Fill> PipelineCache<F> {
     /// transfers a dirty line between levels). Returns whether the line
     /// was present.
     pub fn mark_dirty(&mut self, address: u64) -> bool {
-        let (set_idx, tag) = self.config.locate(address);
-        let set_idx = set_idx as usize;
-        let meta = match &mut self.storage {
-            Storage::Slotted(sets) => match sets.find_way(set_idx, tag) {
-                Some(way) => Some(&mut sets.meta[set_idx * sets.assoc + way]),
-                None => None,
-            },
-            Storage::Budgeted { sets, .. } => {
-                let set = &mut sets[set_idx];
-                match set.tags.iter().position(|&t| t == tag) {
-                    Some(idx) => Some(&mut set.meta[idx]),
-                    None => None,
-                }
-            }
-        };
-        match meta {
+        match self.resident_meta(address) {
             Some(meta) => {
                 meta.dirty_sectors |= meta.valid_sectors;
                 true
             }
             None => false,
+        }
+    }
+
+    /// Clears `address`'s dirty sectors if resident, leaving the line
+    /// valid and its replacement state and statistics untouched (a
+    /// coherence downgrade that writes the data back). Returns the bytes
+    /// cleared — what that write-back puts on the memory link — or
+    /// `None` when the line is absent.
+    pub(crate) fn clean(&mut self, address: u64) -> Option<u64> {
+        let sector_size = self.sector_size;
+        let meta = self.resident_meta(address)?;
+        let bytes = u64::from(meta.dirty_sectors.count_ones()) * sector_size;
+        meta.dirty_sectors = 0;
+        Some(bytes)
+    }
+
+    /// The metadata of `address`'s line, if resident.
+    fn resident_meta(&mut self, address: u64) -> Option<&mut LineMeta> {
+        let (set_idx, tag) = self.config.locate(address);
+        let set_idx = set_idx as usize;
+        match &mut self.storage {
+            Storage::Slotted(sets) => {
+                let way = sets.find_way(set_idx, tag)?;
+                Some(&mut sets.meta[set_idx * sets.assoc + way])
+            }
+            Storage::Budgeted { sets, .. } => {
+                let set = &mut sets[set_idx];
+                let idx = set.tags.iter().position(|&t| t == tag)?;
+                Some(&mut set.meta[idx])
+            }
         }
     }
 

@@ -143,11 +143,13 @@ impl MemoryTraffic {
     }
 
     /// Records a fetch from memory.
+    #[inline]
     pub fn record_fetch(&mut self, bytes: u64) {
         self.fetched_bytes += bytes;
     }
 
     /// Records a write-back to memory.
+    #[inline]
     pub fn record_writeback(&mut self, bytes: u64) {
         self.written_bytes += bytes;
     }

@@ -96,18 +96,37 @@ fn shared_l2_grid_is_bit_identical() {
     }
 }
 
+/// Every private organisation — non-inclusive, inclusive and exclusive —
+/// banks bit-identically, under LRU and Random replacement, both as the
+/// one-core L1 + L2 hierarchy drained at the end and as a 4-core CMP.
 #[test]
 fn private_l2_grid_is_bit_identical() {
-    let config = CmpSimConfig {
-        cores: 4,
-        l1: CacheConfig::new(512, 64, 2).unwrap(),
-        l2: CacheConfig::new(32 << 10, 64, 4).unwrap(),
-        organization: L2Organization::Private,
-        l2_fill: FillSpec::FullLine,
-        flush: false,
-    };
-    for seed in [7u64, 19] {
-        run_cmp_grid(config, 50_000, seed);
+    for organization in [
+        L2Organization::Private,
+        L2Organization::InclusivePrivate,
+        L2Organization::ExclusivePrivate,
+    ] {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Random] {
+            for (cores, flush) in [(1u16, true), (4, false)] {
+                let config = CmpSimConfig {
+                    cores,
+                    l1: CacheConfig::new(512, 64, 2)
+                        .unwrap()
+                        .with_policy(policy)
+                        .with_policy_seed(21),
+                    l2: CacheConfig::new(32 << 10, 64, 4)
+                        .unwrap()
+                        .with_policy(policy)
+                        .with_policy_seed(22),
+                    organization,
+                    l2_fill: FillSpec::FullLine,
+                    flush,
+                };
+                for seed in [7u64, 19] {
+                    run_cmp_grid(config, 50_000, seed);
+                }
+            }
+        }
     }
 }
 

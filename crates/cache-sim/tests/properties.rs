@@ -2,8 +2,7 @@
 //! seeded [`Rng`] instead of an external property-testing framework.
 
 use bandwall_cache_sim::{
-    Cache, CacheConfig, CmpSystem, InclusionPolicy, L2Organization, ReplacementPolicy,
-    SectoredCache, TwoLevelHierarchy,
+    Cache, CacheConfig, CmpSystem, L2Organization, ReplacementPolicy, SectoredCache,
 };
 use bandwall_numerics::Rng;
 use bandwall_trace::{MemoryAccess, StackDistanceTrace, TraceSource};
@@ -97,9 +96,11 @@ fn read_only_streams_never_write_back() {
     let mut rng = Rng::seed_from_u64(504);
     for _ in 0..CASES {
         let seed = rng.next_u64();
-        let mut h = TwoLevelHierarchy::new(
+        let mut h = CmpSystem::new(
+            1,
             CacheConfig::new(1 << 10, 64, 2).unwrap(),
             CacheConfig::new(8 << 10, 64, 4).unwrap(),
+            L2Organization::Private,
         );
         let mut t = StackDistanceTrace::builder(0.5)
             .seed(seed)
@@ -107,7 +108,7 @@ fn read_only_streams_never_write_back() {
             .max_distance(1 << 10)
             .build();
         for a in t.iter().take(5000) {
-            h.access(a.address(), a.kind().is_write());
+            h.access(a);
         }
         h.flush();
         assert_eq!(h.memory_traffic().written_bytes(), 0);
@@ -120,9 +121,11 @@ fn traffic_monotone_over_time() {
     let mut rng = Rng::seed_from_u64(505);
     for _ in 0..CASES {
         let seed = rng.next_u64();
-        let mut h = TwoLevelHierarchy::new(
+        let mut h = CmpSystem::new(
+            1,
             CacheConfig::new(512, 64, 2).unwrap(),
             CacheConfig::new(4096, 64, 4).unwrap(),
+            L2Organization::Private,
         );
         let mut t = StackDistanceTrace::builder(0.5)
             .seed(seed)
@@ -130,7 +133,7 @@ fn traffic_monotone_over_time() {
             .build();
         let mut last = 0;
         for a in t.iter().take(2000) {
-            h.access(a.address(), a.kind().is_write());
+            h.access(a);
             let now = h.memory_traffic().total_bytes();
             assert!(now >= last);
             last = now;
@@ -234,20 +237,21 @@ fn inclusion_policies_agree_on_tiny_streams() {
     for _ in 0..CASES {
         let n = rng.gen_range(1..200usize);
         let lines: Vec<u64> = (0..n).map(|_| rng.gen_range(0..8u64)).collect();
-        let run = |inclusion: InclusionPolicy| {
-            let mut h = TwoLevelHierarchy::new(
+        let run = |organization: L2Organization| {
+            let mut h = CmpSystem::new(
+                1,
                 CacheConfig::new(1024, 64, 2).unwrap(),
                 CacheConfig::new(4096, 64, 4).unwrap(),
-            )
-            .with_inclusion(inclusion);
+                organization,
+            );
             for &l in &lines {
-                h.access(l * 64, false);
+                h.access(MemoryAccess::read(l * 64));
             }
-            (h.memory_traffic().total_bytes(), h.l1().stats().hits())
+            (h.memory_traffic().total_bytes(), h.l1_stats().hits())
         };
-        let a = run(InclusionPolicy::NonInclusive);
-        let b = run(InclusionPolicy::Inclusive);
-        let c = run(InclusionPolicy::Exclusive);
+        let a = run(L2Organization::Private);
+        let b = run(L2Organization::InclusivePrivate);
+        let c = run(L2Organization::ExclusivePrivate);
         assert_eq!(a, b);
         assert_eq!(b, c);
     }

@@ -2,12 +2,14 @@
 //! fitting → analytical model, exercising the whole pipeline the way the
 //! paper's methodology does.
 
-use bandwidth_wall::cache_sim::{CacheConfig, CompressedCache, SectoredCache, TwoLevelHierarchy};
+use bandwidth_wall::cache_sim::{
+    CacheConfig, CmpSystem, CompressedCache, L2Organization, SectoredCache,
+};
 use bandwidth_wall::compress::Fpc;
 use bandwidth_wall::model::{Alpha, Baseline, ScalingProblem, Technique};
 use bandwidth_wall::numerics::PowerLawFit;
 use bandwidth_wall::trace::values::{LineValueGenerator, ValueProfile};
-use bandwidth_wall::trace::{MissRateProbe, StackDistanceTrace, TraceSource};
+use bandwidth_wall::trace::{MemoryAccess, MissRateProbe, StackDistanceTrace, TraceSource};
 
 /// Generate → profile → fit → model: the fitted α lands near the
 /// configured one and yields the expected supportable-core counts.
@@ -47,9 +49,11 @@ fn alpha_pipeline_recovers_configuration() {
 fn simulated_traffic_scaling_matches_model() {
     let alpha = 0.5;
     let run = |l2_bytes: u64| {
-        let mut h = TwoLevelHierarchy::new(
+        let mut h = CmpSystem::new(
+            1,
             CacheConfig::new(2 << 10, 64, 2).unwrap(),
             CacheConfig::new(l2_bytes, 64, 8).unwrap(),
+            L2Organization::Private,
         );
         let mut trace = StackDistanceTrace::builder(alpha)
             .seed(5)
@@ -58,11 +62,11 @@ fn simulated_traffic_scaling_matches_model() {
             .build();
         // Warm the hierarchy, then measure steady-state fetch traffic.
         for a in trace.iter().take(100_000) {
-            h.access(a.address(), false);
+            h.access(MemoryAccess::read(a.address()));
         }
         let before = h.memory_traffic().fetched_bytes();
         for a in trace.iter().take(200_000) {
-            h.access(a.address(), false);
+            h.access(MemoryAccess::read(a.address()));
         }
         h.memory_traffic().fetched_bytes() - before
     };

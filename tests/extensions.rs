@@ -4,15 +4,15 @@
 //! compressor.
 
 use bandwidth_wall::cache_sim::{
-    simulate_throughput, CacheConfig, InclusionPolicy, PredictiveSectoredCache,
-    ThroughputSimConfig, TwoLevelHierarchy,
+    simulate_throughput, CacheConfig, CmpSystem, L2Organization, PredictiveSectoredCache,
+    ThroughputSimConfig,
 };
 use bandwidth_wall::compress::{BestOf, Compressor};
 use bandwidth_wall::model::mix::{WorkloadClass, WorkloadMix};
 use bandwidth_wall::model::roadmap::BandwidthScenario;
 use bandwidth_wall::model::{Alpha, Baseline, GenerationSweep, ThroughputModel};
 use bandwidth_wall::trace::values::{LineValueGenerator, ValueProfile};
-use bandwidth_wall::trace::{PointerChaseTrace, TraceSource};
+use bandwidth_wall::trace::{MemoryAccess, PointerChaseTrace, TraceSource};
 
 #[test]
 fn analytic_and_simulated_plateaus_agree_in_shape() {
@@ -87,19 +87,20 @@ fn workload_mix_interpolates_between_figure17_rows() {
 fn exclusive_hierarchy_matches_larger_effective_cache() {
     use bandwidth_wall::trace::ZipfTrace;
     // An 80-line working set on 32-line L1 + 64-line L2.
-    let run = |inclusion| {
-        let mut h = TwoLevelHierarchy::new(
+    let run = |organization| {
+        let mut h = CmpSystem::new(
+            1,
             CacheConfig::new(2048, 64, 4).unwrap(),
             CacheConfig::new(4096, 64, 4).unwrap(),
-        )
-        .with_inclusion(inclusion);
+            organization,
+        );
         let mut t = ZipfTrace::builder(80, 0.1).seed(5).build();
         for a in t.iter().take(50_000) {
-            h.access(a.address(), false);
+            h.access(MemoryAccess::read(a.address()));
         }
         h.memory_traffic().fetched_bytes()
     };
-    assert!(run(InclusionPolicy::Exclusive) < run(InclusionPolicy::Inclusive));
+    assert!(run(L2Organization::ExclusivePrivate) < run(L2Organization::InclusivePrivate));
 }
 
 #[test]
