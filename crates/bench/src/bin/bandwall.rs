@@ -636,18 +636,34 @@ fn check_floors(floors: &[(String, f64)], groups: &[BenchGroup]) -> Result<(), S
             .find(|r| r.id == *id)
             .ok_or_else(|| format!("--floor {id}: no such kernel ran"))?;
         let actual = result.items_per_sec();
+        let (shown, floor) = floor_texts(actual, *rate);
         if actual < *rate {
             return Err(format!(
-                "--floor {id}: throughput {actual:.0} {}/s is below the floor {rate:.0}",
+                "--floor {id}: throughput {shown} {}/s is below the floor {floor}",
                 result.unit
             ));
         }
         eprintln!(
-            "bandwall: floor {id}: {actual:.0} {}/s >= {rate:.0} ok",
+            "bandwall: floor {id}: {shown} {}/s >= {floor} ok",
             result.unit
         );
     }
     Ok(())
+}
+
+/// A measured rate and its floor as the `--floor` gate prints them: the
+/// floor in its shortest exact form, the rate to at least as many
+/// decimals, and to more while a rate below the floor would still print
+/// as the floor, so the two never round across each other.
+fn floor_texts(actual: f64, floor: f64) -> (String, String) {
+    let floor_text = floor.to_string();
+    let mut decimals = floor_text.split_once('.').map_or(0, |(_, f)| f.len());
+    let mut actual_text = format!("{actual:.decimals$}");
+    while actual < floor && actual_text.parse() == Ok(floor) {
+        decimals += 1;
+        actual_text = format!("{actual:.decimals$}");
+    }
+    (actual_text, floor_text)
 }
 
 /// Minimal signal handling for `bandwall serve`, kept in the binary
@@ -1074,6 +1090,42 @@ mod tests {
     }
 
     #[test]
+    fn floor_gate_never_prints_a_rate_across_its_floor() {
+        use bandwall_experiments::perf::BenchResult;
+        // One run in 769.2 ms: 1.3 runs/s, against a floor of 1.4.
+        let group = BenchGroup {
+            group: "experiments".into(),
+            options: BenchOptions::quick(),
+            host_parallelism: 1,
+            results: vec![BenchResult::from_samples(
+                "k",
+                "kernel",
+                1,
+                1,
+                "runs",
+                vec![769_230_769],
+            )],
+        };
+        let err = check_floors(&[("k".into(), 1.4)], &[group]).unwrap_err();
+        assert_eq!(
+            err,
+            "--floor k: throughput 1.3 runs/s is below the floor 1.4"
+        );
+        // A rate below its floor gains decimals until it no longer prints
+        // as the floor; one at or above it keeps the floor's precision.
+        for (actual, floor, texts) in [
+            (1.39996, 1.4, ("1.39996", "1.4")),
+            (3_999_999.6, 4e6, ("3999999.6", "4000000")),
+            (2.47, 1.5, ("2.5", "1.5")),
+            (1.4, 1.4, ("1.4", "1.4")),
+            (11_234_567.8, 4e6, ("11234568", "4000000")),
+        ] {
+            let (shown, floor_shown) = floor_texts(actual, floor);
+            assert_eq!((shown.as_str(), floor_shown.as_str()), texts);
+        }
+    }
+
+    #[test]
     fn parses_serve_flags() {
         let serve = parse_serve_args(&args(&[
             "--addr",
@@ -1284,7 +1336,8 @@ loadgen --floor id=1e309|--floor rate must be positive";
         "run fig14_parsec_sharing --seed 1 --format json",
         "run --all --seed 3 --format json",
         "bench --quick --format json --snapshot snaps --floor compressed_sim_seq=4000000 \
-         --floor model_solve_combination_16x=500000 --floor experiment_ablate_replacement=1.5",
+         --floor model_solve_combination_16x=500000 --floor experiment_ablate_replacement=1.5 \
+         --floor experiment_fig01_power_law=1.3",
         "bench --snapshot .",
         "bench model --quick",
         "serve --addr 127.0.0.1:8787 --workers 2",

@@ -1,10 +1,18 @@
 //! Figure 1 — Normalized cache miss rate as a function of cache size.
 //!
-//! Runs the thirteen synthetic Figure 1 workloads (seven commercial, six
-//! SPEC-like) through an exact fully-associative LRU probe
-//! (`MissRateProbe`, one capacity marker per cache size), normalises each
-//! miss-rate curve to its smallest cache size, and fits the power law
-//! `m = m0 · (C/C0)^-α` in log–log space.
+//! Measures the thirteen synthetic Figure 1 workloads (seven commercial,
+//! six SPEC-like) at each cache size of a fully-associative LRU cache,
+//! and fits the power law `m = m0 · (C/C0)^-α` to each miss-rate curve
+//! in log–log space.
+//!
+//! The commercial stand-ins draw a Pareto LRU stack depth per access and
+//! touch the line at that depth, so their α is recovered by
+//! construction: by Mattson's stack-distance identity an access misses
+//! a cache of `C` lines exactly when its depth is at least `C`, and the
+//! curve is the share of drawn depths `>= C`, with no cache or stack
+//! simulated. Only the SPEC-like half, whose discrete working sets have
+//! no such identity, runs through an exact LRU probe (`MissRateProbe`,
+//! one capacity marker per cache size).
 //!
 //! Paper reference: commercial α averages 0.48 (min 0.36 = OLTP-2, max
 //! 0.62 = OLTP-4); the SPEC 2006 aggregate fits α = 0.25; individual SPEC
@@ -25,15 +33,19 @@ fn capacities() -> Vec<usize> {
     (7..=16).map(|i| 1usize << i).collect()
 }
 
-/// Exact measurement for stack-distance traces: warm the probe with the
-/// generator's full footprint so there is no compulsory-miss floor.
-fn measure_commercial(trace: &mut StackDistanceTrace, caps: &[usize]) -> Vec<f64> {
-    let mut probe = MissRateProbe::new(caps);
-    trace.warm_probe(&mut probe);
-    for a in trace.iter().take(MEASURE) {
-        probe.observe(a.address() / 64);
+/// Exact measurement for stack-distance traces: the share of `MEASURE`
+/// drawn depths at or beyond each capacity. These are the miss counts a
+/// probe warmed with the generator's full footprint measures over the
+/// same accesses (the trace crate's `depth_counts_equal_the_warmed_probe`
+/// holds the two equal), so there is no compulsory-miss floor.
+fn measure_commercial(trace: StackDistanceTrace, caps: &[usize]) -> Vec<f64> {
+    let mut misses = vec![0u64; caps.len()];
+    for depth in trace.into_depths().take(MEASURE) {
+        for (miss, &cap) in misses.iter_mut().zip(caps) {
+            *miss += u64::from(depth >= cap);
+        }
     }
-    probe.miss_rates()
+    misses.iter().map(|&m| m as f64 / MEASURE as f64).collect()
 }
 
 /// Burn-in measurement for the discrete-working-set traces.
@@ -78,16 +90,17 @@ impl Experiment for Fig01PowerLaw {
         let mut commercial_alphas = Vec::new();
         let mut spec_curves: Vec<Vec<f64>> = Vec::new();
 
-        for trace in &mut commercial_suite(self.seed) {
+        for trace in commercial_suite(self.seed) {
+            let (name, alpha) = (trace.name().to_string(), trace.alpha());
             let rates = measure_commercial(trace, &caps);
             let xs: Vec<f64> = caps.iter().map(|&c| c as f64).collect();
             let fit = PowerLawFit::fit(&xs, &rates)?;
             commercial_alphas.push(fit.alpha);
             table.push_row(vec![
-                Value::text(trace.name()),
+                Value::text(name),
                 Value::float(fit.alpha, 3),
                 Value::float(fit.r_squared, 3),
-                Value::fmt(format!("{:.2} (configured)", trace.alpha()), trace.alpha()),
+                Value::fmt(format!("{alpha:.2} (configured)"), alpha),
             ]);
         }
         for trace in &mut spec_suite(self.seed) {

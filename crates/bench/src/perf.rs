@@ -22,8 +22,8 @@
 //! * `compress` — every cache-line compression engine over an identical
 //!   deterministic stream of commercial-profile lines.
 //! * `experiments` — end-to-end registry experiment runs: one analytic
-//!   figure and three simulator-backed experiments (Figures 1 and 14 and
-//!   the replacement ablation).
+//!   figure and four trace-driven experiments (Figures 1 and 14, the
+//!   replacement ablation and the coherence study).
 //! * `serve` — the model-query service over loopback HTTP.
 //! * `model` — the analytic kernels: the power-law miss rate, relative
 //!   traffic, the supportable-core solve by integer search and by Brent
@@ -481,11 +481,12 @@ fn compress_results(options: &BenchOptions) -> Vec<BenchResult> {
 }
 
 /// The registry experiments the `experiments` group times end to end.
-const TIMED_EXPERIMENTS: [&str; 4] = [
+const TIMED_EXPERIMENTS: [&str; 5] = [
     "fig01_power_law",
     "fig02_traffic_vs_cores",
     "fig14_parsec_sharing",
     "ablate_replacement",
+    "coherence_study",
 ];
 
 fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {

@@ -4,8 +4,16 @@
 //! *reuse distance* — the number of distinct lines touched since the last
 //! access to the same line — is below `C`. Profiling a trace's reuse
 //! distances therefore yields its miss rate at **every** cache size in one
-//! pass, which is how the Figure 1 miss-rate curves are produced without
-//! simulating dozens of cache configurations.
+//! pass, which is how Figure 1's SPEC-like miss-rate curves are produced
+//! without simulating dozens of cache configurations. Its commercial
+//! curves need no profiling: a [`StackDistanceTrace`] draws each access's
+//! reuse distance itself, so [`StackDistanceTrace::into_depths`] hands
+//! those distances over directly, and a probe warmed with
+//! [`StackDistanceTrace::warm_probe`] measures the same ones back.
+//!
+//! [`StackDistanceTrace`]: crate::StackDistanceTrace
+//! [`StackDistanceTrace::into_depths`]: crate::StackDistanceTrace::into_depths
+//! [`StackDistanceTrace::warm_probe`]: crate::StackDistanceTrace::warm_probe
 //!
 //! Both tools here are exact. [`ReuseDistanceProfiler`] returns every
 //! access's reuse distance with the classic Fenwick-tree (binary indexed

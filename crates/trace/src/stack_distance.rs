@@ -142,14 +142,16 @@ impl StackDistanceTraceBuilder {
         // P(distance >= C) — a truncated Pareto.
         let stack: VecDeque<u32> = (0..self.max_distance).map(|line| line as u32).collect();
         StackDistanceTrace {
-            alpha: self.alpha,
+            draws: Draws {
+                alpha: self.alpha,
+                write_fraction: self.write_fraction,
+                min_distance: self.min_distance,
+                max_distance: self.max_distance,
+                touched_words: self.touched_words,
+                rng: Rng::seed_from_u64(self.seed),
+            },
             line_size: self.line_size,
-            write_fraction: self.write_fraction,
-            min_distance: self.min_distance,
-            max_distance: self.max_distance,
-            touched_words: self.touched_words,
             name: self.name,
-            rng: Rng::seed_from_u64(self.seed),
             stack,
         }
     }
@@ -172,14 +174,9 @@ impl StackDistanceTraceBuilder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackDistanceTrace {
-    alpha: f64,
+    draws: Draws,
     line_size: u64,
-    write_fraction: f64,
-    min_distance: usize,
-    max_distance: usize,
-    touched_words: u32,
     name: String,
-    rng: Rng,
     /// LRU stack of line ids, most recent first, pre-populated with the
     /// whole footprint. A `VecDeque` keeps the hot path (move-to-front
     /// from a shallow depth) cheap at both ends, and `u32` ids halve the
@@ -204,7 +201,7 @@ impl StackDistanceTrace {
 
     /// The configured exponent.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.draws.alpha
     }
 
     /// The configured line size in bytes.
@@ -236,6 +233,68 @@ impl StackDistanceTrace {
         probe.reset_counts();
     }
 
+    /// The LRU stack depths of the accesses
+    /// [`next_access`](TraceSource::next_access) would make, in order,
+    /// without making them.
+    ///
+    /// By Mattson's stack-distance identity, an access misses a
+    /// fully-associative LRU cache of `C` lines exactly when its depth is
+    /// at least `C`, so counting depths `>= C` gives the miss count a
+    /// [`warm_probe`](Self::warm_probe)ed
+    /// [`MissRateProbe`](crate::MissRateProbe) measures over the same
+    /// accesses, bit for bit. Both paths make the same draws per access
+    /// (depth, word, kind), so the depths stay in step with the stream.
+    /// The trace is consumed and its stack dropped: nothing can observe
+    /// a stack the depths no longer describe.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bandwall_trace::StackDistanceTrace;
+    ///
+    /// let trace = StackDistanceTrace::builder(0.5).seed(3).max_distance(1 << 12).build();
+    /// let misses_at_256 = trace.into_depths().take(10_000).filter(|&d| d >= 256).count();
+    /// assert!(misses_at_256 > 0 && misses_at_256 < 10_000);
+    /// ```
+    pub fn into_depths(self) -> impl Iterator<Item = usize> {
+        let mut draws = self.draws;
+        std::iter::repeat_with(move || draws.next().depth)
+    }
+}
+
+/// The random draws behind one access, shared by
+/// [`TraceSource::next_access`] and [`StackDistanceTrace::into_depths`]
+/// so both advance the RNG identically.
+#[derive(Debug, Clone)]
+struct Draws {
+    alpha: f64,
+    write_fraction: f64,
+    min_distance: usize,
+    max_distance: usize,
+    touched_words: u32,
+    rng: Rng,
+}
+
+/// One access's draws: its LRU stack depth, the word it touches in the
+/// line and its kind.
+struct Draw {
+    depth: usize,
+    word: u64,
+    kind: AccessKind,
+}
+
+impl Draws {
+    fn next(&mut self) -> Draw {
+        let depth = self.sample_distance();
+        let word = self.rng.gen_range(0..self.touched_words) as u64;
+        let kind = if self.rng.gen_f64() < self.write_fraction {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        Draw { depth, word, kind }
+    }
+
     /// Samples a Pareto(`x_m = min_distance`, shape `alpha`) reuse
     /// distance, truncated to the deepest stack slot.
     fn sample_distance(&mut self) -> usize {
@@ -251,20 +310,14 @@ impl StackDistanceTrace {
 
 impl TraceSource for StackDistanceTrace {
     fn next_access(&mut self) -> MemoryAccess {
-        let depth = self.sample_distance();
+        let Draw { depth, word, kind } = self.draws.next();
         // Reuse the line at the sampled LRU depth; move to front.
         let line = self
             .stack
             .remove(depth)
             .expect("sampled depth is clamped to the stack length");
         self.stack.push_front(line);
-        let word = self.rng.gen_range(0..self.touched_words) as u64;
         let address = u64::from(line) * self.line_size + word * 8;
-        let kind = if self.rng.gen_f64() < self.write_fraction {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
         MemoryAccess::new(address, kind)
     }
 
@@ -449,6 +502,40 @@ mod tests {
             .max_distance(1 << 15)
             .build();
         assert_eq!(digest(ablation), 0xb27b_9674_44ed_5d0f);
+    }
+
+    /// Mattson's stack-distance identity, which Figure 1's commercial
+    /// curves rest on: for each commercial workload (at a 2¹² footprint),
+    /// the warmed probe over the access stream and a count of the depths
+    /// `>= C` give the same miss rate at every capacity, bit for bit.
+    #[test]
+    fn depth_counts_equal_the_warmed_probe() {
+        const DRAWS: usize = 20_000;
+        let caps: Vec<usize> = (1..=11).map(|i| 1 << i).collect();
+        for seed in [2026, 1] {
+            for i in 0..crate::suites::COMMERCIAL_WORKLOADS.len() {
+                let build = || {
+                    crate::suites::commercial_workload(seed, i)
+                        .max_distance(1 << 12)
+                        .build()
+                };
+                let mut trace = build();
+                let mut probe = MissRateProbe::new(&caps);
+                trace.warm_probe(&mut probe);
+                let line_size = trace.line_size();
+                for a in trace.iter().take(DRAWS) {
+                    probe.observe(a.address() / line_size);
+                }
+                let mut misses = vec![0u64; caps.len()];
+                for depth in build().into_depths().take(DRAWS) {
+                    for (miss, &cap) in misses.iter_mut().zip(&caps) {
+                        *miss += u64::from(depth >= cap);
+                    }
+                }
+                let counted: Vec<f64> = misses.iter().map(|&m| m as f64 / DRAWS as f64).collect();
+                assert_eq!(probe.miss_rates(), counted, "{} seed {seed}", trace.name());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! for the SPEC-like suite.
 
 use crate::access::TraceSource;
-use crate::stack_distance::StackDistanceTrace;
+use crate::stack_distance::{StackDistanceTrace, StackDistanceTraceBuilder};
 use crate::working_set::WorkingSetTrace;
 
 /// Per-workload calibration of the commercial suite: `(name, α,
@@ -40,18 +40,20 @@ pub const COMMERCIAL_WORKLOADS: [(&str, f64, f64); 7] = [
 /// assert_eq!(suite[4].name(), "OLTP-2");
 /// ```
 pub fn commercial_suite(seed: u64) -> Vec<StackDistanceTrace> {
-    COMMERCIAL_WORKLOADS
-        .iter()
-        .enumerate()
-        .map(|(i, &(name, alpha, write_fraction))| {
-            StackDistanceTrace::builder(alpha)
-                .seed(seed.wrapping_add(i as u64 * 0x9E37_79B9))
-                .write_fraction(write_fraction)
-                .max_distance(1 << 17)
-                .name(name)
-                .build()
-        })
+    (0..COMMERCIAL_WORKLOADS.len())
+        .map(|i| commercial_workload(seed, i).build())
         .collect()
+}
+
+/// The builder of commercial workload `i` of [`commercial_suite`]: its
+/// α, write fraction and derived seed over a 2¹⁷-line footprint.
+pub(crate) fn commercial_workload(seed: u64, i: usize) -> StackDistanceTraceBuilder {
+    let (name, alpha, write_fraction) = COMMERCIAL_WORKLOADS[i];
+    StackDistanceTrace::builder(alpha)
+        .seed(seed.wrapping_add(i as u64 * 0x9E37_79B9))
+        .write_fraction(write_fraction)
+        .max_distance(1 << 17)
+        .name(name)
 }
 
 /// Working-set sizes (in 64-byte lines) of the SPEC-like suite. The spread
