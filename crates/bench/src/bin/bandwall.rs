@@ -14,7 +14,9 @@
 //!
 //! Experiments run concurrently (`--jobs`, default: available
 //! parallelism) but reports are always emitted in registry order, so
-//! output is deterministic regardless of scheduling.
+//! output is deterministic regardless of scheduling. Each simulated
+//! experiment banks across the CPUs left to it
+//! (`registry::sim_banks`), which never moves a report byte either.
 //!
 //! Runs are fault-isolated: a panicking, erroring, or (with `--timeout`)
 //! hanging experiment becomes a structured failure report in its
@@ -33,7 +35,7 @@ use std::time::Duration;
 use bandwall_experiments::error::ExperimentError;
 use bandwall_experiments::fault::ChaosSpec;
 use bandwall_experiments::perf::{host_parallelism, run_group, BenchGroup, BenchOptions, GROUPS};
-use bandwall_experiments::registry::{registry_with_seed, Experiment};
+use bandwall_experiments::registry::{registry_with_seed, set_concurrent_experiments, Experiment};
 use bandwall_experiments::report::Report;
 use bandwall_experiments::serve::loadgen::{
     run_against, EndpointSelection, LoadgenOptions, MixWeights,
@@ -533,6 +535,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     let run = parse_run_args(args)?;
     let selected = select(&run)?;
     let jobs = run.jobs.unwrap_or_else(host_parallelism);
+    set_concurrent_experiments(jobs.min(selected.len()));
     let timeout = run.timeout.map(Duration::from_secs);
     let reports = run_parallel(&selected, jobs, timeout, run.fail_fast);
     emit(&reports, run.format, run.out.as_deref())?;

@@ -9,10 +9,10 @@
 //! capacity itself, which is what the model captures.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
-use bandwall_trace::{materialize, MemoryAccess, ZipfTrace};
+use bandwall_cache_sim::{CacheConfig, CmpSimConfig, FillSpec, L2Organization};
+use bandwall_trace::{ReplayTrace, ZipfTrace};
 
 const ACCESSES: usize = 150_000;
 
@@ -25,28 +25,29 @@ pub struct AblateInclusion {
 
 impl AblateInclusion {
     /// The stream all three inclusion policies replay at one working set.
-    fn stream(&self, working_set_lines: usize) -> Vec<MemoryAccess> {
+    fn stream(&self, working_set_lines: usize) -> ReplayTrace {
         let mut trace = ZipfTrace::builder(working_set_lines, 0.3)
             .seed(self.seed)
             .build();
-        materialize(&mut trace, ACCESSES)
+        ReplayTrace::record(&mut trace, ACCESSES)
     }
 
     fn traffic(
         &self,
-        stream: &[MemoryAccess],
+        stream: &mut ReplayTrace,
         organization: L2Organization,
     ) -> Result<u64, ExperimentError> {
-        let mut h = CmpSystem::try_new(
-            1,
-            CacheConfig::new(8 << 10, 64, 4)?,  // 128 lines
-            CacheConfig::new(32 << 10, 64, 8)?, // 512 lines
+        let sim = CmpSimConfig {
+            cores: 1,
+            l1: CacheConfig::new(8 << 10, 64, 4)?,  // 128 lines
+            l2: CacheConfig::new(32 << 10, 64, 8)?, // 512 lines
             organization,
-        )?;
-        for a in stream {
-            h.access(*a);
-        }
-        Ok(h.memory_traffic().total_bytes())
+            l2_fill: FillSpec::FullLine,
+            flush: false,
+        };
+        stream.rewind();
+        let stats = sim.run(stream, ACCESSES, sim_banks())?;
+        Ok(stats.traffic.total_bytes())
     }
 }
 
@@ -73,10 +74,10 @@ impl Experiment for AblateInclusion {
             "excl/incl",
         ]);
         for ws in [256usize, 512, 640, 768, 1024, 2048] {
-            let stream = self.stream(ws);
-            let ni = self.traffic(&stream, L2Organization::Private)?;
-            let inc = self.traffic(&stream, L2Organization::InclusivePrivate)?;
-            let exc = self.traffic(&stream, L2Organization::ExclusivePrivate)?;
+            let mut stream = self.stream(ws);
+            let ni = self.traffic(&mut stream, L2Organization::Private)?;
+            let inc = self.traffic(&mut stream, L2Organization::InclusivePrivate)?;
+            let exc = self.traffic(&mut stream, L2Organization::ExclusivePrivate)?;
             let ratio = exc as f64 / inc as f64;
             table.push_row(vec![
                 Value::fmt(format!("{} KB", ws * 64 / 1024), (ws * 64 / 1024) as f64),

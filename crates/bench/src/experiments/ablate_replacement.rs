@@ -7,13 +7,18 @@
 //! and random replacement, fits α to each miss curve, and reports how
 //! much the approximation costs. The stream is generated once and
 //! replayed into all 24 caches.
+//!
+//! Each miss rate excludes a warm-up. The engine is prefix-deterministic
+//! (the statistics after the first `n` accesses of a run equal those of
+//! an `n`-access run), so the measured window is a `WARMUP + ACCESSES`
+//! run minus a `WARMUP` run of the same cache.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{Cache, CacheConfig, ReplacementPolicy};
+use bandwall_cache_sim::{CacheConfig, CacheStats, EngineSimConfig, FillSpec, ReplacementPolicy};
 use bandwall_numerics::PowerLawFit;
-use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
+use bandwall_trace::{ReplayTrace, StackDistanceTrace};
 
 const ACCESSES: usize = 250_000;
 const WARMUP: usize = 50_000;
@@ -29,31 +34,35 @@ pub struct AblateReplacement {
 
 impl AblateReplacement {
     /// The warm-up accesses followed by the measured ones.
-    fn stream(&self) -> Vec<MemoryAccess> {
+    fn stream(&self) -> ReplayTrace {
         let mut trace = StackDistanceTrace::builder(0.5)
             .seed(self.trace_seed)
             .max_distance(1 << 15)
             .build();
-        materialize(&mut trace, WARMUP + ACCESSES)
+        ReplayTrace::record(&mut trace, WARMUP + ACCESSES)
     }
 
-    fn miss_rate(&self, stream: &[MemoryAccess], policy: ReplacementPolicy, capacity: u64) -> f64 {
-        let config = CacheConfig::new(capacity, 64, 8)
-            .expect("valid geometry")
-            .with_policy(policy)
-            .with_policy_seed(self.policy_seed);
-        let mut cache = Cache::new(config);
-        let (warmup, measured) = stream.split_at(WARMUP);
-        for a in warmup {
-            cache.access(a.address(), a.kind().is_write());
-        }
-        let before = cache.stats().misses();
-        let before_accesses = cache.stats().accesses();
-        for a in measured {
-            cache.access(a.address(), a.kind().is_write());
-        }
-        (cache.stats().misses() - before) as f64
-            / (cache.stats().accesses() - before_accesses) as f64
+    /// The miss rate over the accesses after the warm-up.
+    fn miss_rate(
+        &self,
+        stream: &mut ReplayTrace,
+        policy: ReplacementPolicy,
+        capacity: u64,
+    ) -> Result<f64, ExperimentError> {
+        let sim = EngineSimConfig {
+            cache: CacheConfig::new(capacity, 64, 8)?
+                .with_policy(policy)
+                .with_policy_seed(self.policy_seed),
+            fill: FillSpec::FullLine,
+            flush: false,
+        };
+        let mut counts = |accesses| -> Result<CacheStats, ExperimentError> {
+            stream.rewind();
+            Ok(sim.run(stream, accesses, sim_banks())?.cache)
+        };
+        let warm = counts(WARMUP)?;
+        let all = counts(WARMUP + ACCESSES)?;
+        Ok((all.misses() - warm.misses()) as f64 / (all.accesses() - warm.accesses()) as f64)
     }
 }
 
@@ -73,7 +82,7 @@ impl Experiment for AblateReplacement {
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let capacities: Vec<u64> = (13..=18).map(|i| 1u64 << i).collect(); // 8 KB..256 KB
-        let stream = self.stream();
+        let mut stream = self.stream();
         let mut table = TableBlock::new(&["policy", "fitted α", "R²", "miss@8K", "miss@256K"]);
         for policy in [
             ReplacementPolicy::Lru,
@@ -81,10 +90,10 @@ impl Experiment for AblateReplacement {
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
         ] {
-            let rates: Vec<f64> = capacities
+            let rates = capacities
                 .iter()
-                .map(|&c| self.miss_rate(&stream, policy, c))
-                .collect();
+                .map(|&c| self.miss_rate(&mut stream, policy, c))
+                .collect::<Result<Vec<f64>, _>>()?;
             let xs: Vec<f64> = capacities.iter().map(|&c| c as f64).collect();
             let fit = PowerLawFit::fit(&xs, &rates)?;
             report.metric(format!("fitted_alpha[{policy}]"), fit.alpha, Some(0.5));

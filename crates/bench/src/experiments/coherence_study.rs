@@ -9,10 +9,10 @@
 //! coherence activity the analytical model abstracts away.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, CmpSystem, CoherentCmp, L2Organization};
-use bandwall_trace::{materialize, MemoryAccess, ParsecLikeTrace};
+use bandwall_cache_sim::{CacheConfig, CmpSimConfig, CoherentSimConfig, FillSpec, L2Organization};
+use bandwall_trace::{ParsecLikeTrace, ReplayTrace};
 
 const CORES: u16 = 8;
 const ACCESSES: usize = 300_000;
@@ -26,12 +26,12 @@ pub struct CoherenceStudy {
 
 impl CoherenceStudy {
     /// The stream both organisations replay at one sharing fraction.
-    fn stream(&self, shared_fraction: f64) -> Vec<MemoryAccess> {
+    fn stream(&self, shared_fraction: f64) -> ReplayTrace {
         let mut trace = ParsecLikeTrace::builder_with_regions(CORES, 2000, 1500)
             .shared_access_fraction(shared_fraction)
             .seed(self.seed)
             .build();
-        materialize(&mut trace, ACCESSES)
+        ReplayTrace::record(&mut trace, ACCESSES)
     }
 }
 
@@ -58,33 +58,37 @@ impl Experiment for CoherenceStudy {
             "invalidations",
             "c2c transfers",
         ]);
+        // Shared L2: one 512 KB cache.
+        let shared = CmpSimConfig {
+            cores: CORES,
+            l1: CacheConfig::new(512, 64, 2)?,
+            l2: CacheConfig::new(512 << 10, 64, 8)?,
+            organization: L2Organization::Shared,
+            l2_fill: FillSpec::FullLine,
+            flush: false,
+        };
+        // Private MSI: eight 64 KB caches (same total silicon).
+        let private = CoherentSimConfig {
+            cores: CORES,
+            cache: CacheConfig::new(64 << 10, 64, 8)?,
+            fill: FillSpec::FullLine,
+            flush: false,
+        };
         for fsh in [0.0, 0.2, 0.4, 0.6] {
-            let stream = self.stream(fsh);
-            // Shared L2: one 512 KB cache.
-            let mut shared = CmpSystem::new(
-                CORES,
-                CacheConfig::new(512, 64, 2).expect("valid L1"),
-                CacheConfig::new(512 << 10, 64, 8).expect("valid L2"),
-                L2Organization::Shared,
-            );
-            for &a in &stream {
-                shared.access(a);
-            }
-            // Private MSI: eight 64 KB caches (same total silicon).
-            let mut private = CoherentCmp::new(CORES, CacheConfig::new(64 << 10, 64, 8).unwrap());
-            for &a in &stream {
-                private.access(a);
-            }
-            let s = shared.memory_traffic().total_bytes();
-            let p = private.memory_traffic().total_bytes();
+            let mut stream = self.stream(fsh);
+            let l2 = shared.run(&mut stream, ACCESSES, sim_banks())?;
+            stream.rewind();
+            let msi = private.run(&mut stream, ACCESSES, sim_banks())?;
+            let s = l2.traffic.total_bytes();
+            let p = msi.traffic.total_bytes();
             let ratio = p as f64 / s as f64;
             table.push_row(vec![
                 Value::fmt(format!("{:.0}%", fsh * 100.0), fsh),
                 Value::fmt(format!("{} KB", s / 1024), (s / 1024) as f64),
                 Value::fmt(format!("{} KB", p / 1024), (p / 1024) as f64),
                 Value::fmt(format!("{ratio:.2}"), ratio),
-                Value::int(private.coherence().invalidations()),
-                Value::int(private.coherence().cache_to_cache_transfers()),
+                Value::int(msi.coherence.invalidations()),
+                Value::int(msi.coherence.cache_to_cache_transfers()),
             ]);
             report.metric(
                 format!("private_over_shared[{:.0}%]", fsh * 100.0),

@@ -26,13 +26,13 @@
 //! claims for its own validation studies.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{
     CacheConfig, CoherentSimConfig, CompressorKind, EngineSimConfig, FillSpec, ProfileKind,
     ValueSpec,
 };
-use bandwall_trace::{ParsecLikeTrace, StackDistanceTrace};
+use bandwall_trace::{ParsecLikeTrace, ReplayTrace, StackDistanceTrace};
 
 const ACCESSES: usize = 200_000;
 
@@ -40,10 +40,6 @@ const ACCESSES: usize = 200_000;
 /// traffic ratio (see the module docs for why the algebra is only
 /// approximately multiplicative in simulation).
 pub const TOLERANCE: f64 = 0.35;
-
-/// Thread budget for the banked runs (the merged statistics are
-/// bit-identical at any thread count, so this only affects wall-clock).
-const THREADS: usize = 4;
 
 /// Measured traffic ratios of the composed engine configurations.
 #[derive(Debug, Clone, Copy)]
@@ -86,77 +82,103 @@ impl ComboSim {
         }
     }
 
-    fn engine_traffic(&self, fill: FillSpec, accesses: usize) -> f64 {
-        let sim = EngineSimConfig {
-            // 64 KB over a ~512 KB working set: capacity pressure makes
-            // compression matter; 5-of-8 touched words make sectoring
-            // matter.
-            cache: CacheConfig::new(64 << 10, 64, 8).expect("valid geometry"),
-            fill,
-            flush: true,
-        };
+    /// The stream the four single-cache configurations replay.
+    fn engine_stream(&self, accesses: usize) -> ReplayTrace {
         let mut trace = StackDistanceTrace::builder(0.5)
             .seed(self.seed)
             .touched_words(5)
             .max_distance(1 << 13)
             .build();
-        let stats = sim.run(&mut trace, accesses, THREADS);
-        stats.traffic.total_bytes() as f64
+        ReplayTrace::record(&mut trace, accesses)
+    }
+
+    fn engine_traffic(
+        &self,
+        stream: &mut ReplayTrace,
+        fill: FillSpec,
+    ) -> Result<f64, ExperimentError> {
+        let sim = EngineSimConfig {
+            // 64 KB over a ~512 KB working set: capacity pressure makes
+            // compression matter; 5-of-8 touched words make sectoring
+            // matter.
+            cache: CacheConfig::new(64 << 10, 64, 8)?,
+            fill,
+            flush: true,
+        };
+        stream.rewind();
+        let accesses = stream.accesses().len();
+        let stats = sim.run(stream, accesses, sim_banks())?;
+        Ok(stats.traffic.total_bytes() as f64)
     }
 
     /// Runs the four engine configurations and returns the traffic ratios.
-    pub fn ratios(&self, accesses: usize) -> ComboRatios {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError`] if a configuration does not fit its
+    /// cache.
+    pub fn ratios(&self, accesses: usize) -> Result<ComboRatios, ExperimentError> {
         let values = self.values();
-        let base = self.engine_traffic(FillSpec::FullLine, accesses);
+        let mut stream = self.engine_stream(accesses);
+        let base = self.engine_traffic(&mut stream, FillSpec::FullLine)?;
         let sectored = self.engine_traffic(
+            &mut stream,
             FillSpec::Sectored {
                 sectors_per_line: 8,
             },
-            accesses,
-        );
+        )?;
         let compressed = self.engine_traffic(
+            &mut stream,
             FillSpec::Compressed {
                 compressor: CompressorKind::Fpc,
                 values,
             },
-            accesses,
-        );
+        )?;
         let combined = self.engine_traffic(
+            &mut stream,
             FillSpec::SectoredCompressed {
                 sectors_per_line: 8,
                 compressor: CompressorKind::Fpc,
                 values,
             },
-            accesses,
-        );
-        ComboRatios {
+        )?;
+        Ok(ComboRatios {
             base_bytes: base,
             sectored: base / sectored,
             compressed: base / compressed,
             combined: base / combined,
-        }
+        })
     }
 
-    fn coherent_traffic(&self, fill: FillSpec, accesses: usize) -> (f64, u64, u64) {
-        let sim = CoherentSimConfig {
-            cores: 4,
-            cache: CacheConfig::new(16 << 10, 64, 4).expect("valid geometry"),
-            fill,
-            flush: true,
-        };
+    /// The stream both coherent configurations replay.
+    fn coherent_stream(&self, accesses: usize) -> ReplayTrace {
         let mut trace = ParsecLikeTrace::builder_with_regions(4, 2000, 800)
             .shared_access_fraction(0.4)
             .write_fraction(0.3)
             .seed(self.seed ^ 0x5A)
             .build();
-        let stats = sim
-            .run(&mut trace, accesses, THREADS)
-            .expect("valid geometry");
-        (
+        ReplayTrace::record(&mut trace, accesses)
+    }
+
+    fn coherent_traffic(
+        &self,
+        stream: &mut ReplayTrace,
+        fill: FillSpec,
+    ) -> Result<(f64, u64, u64), ExperimentError> {
+        let sim = CoherentSimConfig {
+            cores: 4,
+            cache: CacheConfig::new(16 << 10, 64, 4)?,
+            fill,
+            flush: true,
+        };
+        stream.rewind();
+        let accesses = stream.accesses().len();
+        let stats = sim.run(stream, accesses, sim_banks())?;
+        Ok((
             stats.traffic.total_bytes() as f64,
             stats.coherence.invalidations(),
             stats.coherence.cache_to_cache_transfers(),
-        )
+        ))
     }
 }
 
@@ -175,7 +197,7 @@ impl Experiment for ComboSim {
 
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
-        let r = self.ratios(ACCESSES);
+        let r = self.ratios(ACCESSES)?;
 
         let mb = |bytes: f64| Value::fmt(format!("{:.2}", bytes / 1e6), bytes / 1e6);
         let ratio = |x: f64| Value::fmt(format!("{x:.3}x"), x);
@@ -217,14 +239,15 @@ impl Experiment for ComboSim {
             "invalidations",
             "c2c transfers",
         ]);
-        let (full, full_inv, full_c2c) = self.coherent_traffic(FillSpec::FullLine, ACCESSES);
+        let mut stream = self.coherent_stream(ACCESSES);
+        let (full, full_inv, full_c2c) = self.coherent_traffic(&mut stream, FillSpec::FullLine)?;
         let (comp, comp_inv, comp_c2c) = self.coherent_traffic(
+            &mut stream,
             FillSpec::Compressed {
                 compressor: CompressorKind::Fpc,
                 values: self.values(),
             },
-            ACCESSES,
-        );
+        )?;
         coherent.push_row(vec![
             Value::text("coherent (MSI), full-line"),
             mb(full),
@@ -259,7 +282,7 @@ mod tests {
 
     #[test]
     fn combination_algebra_holds_within_documented_tolerance() {
-        let r = ComboSim { seed: 47 }.ratios(60_000);
+        let r = ComboSim { seed: 47 }.ratios(60_000).unwrap();
         assert!(r.sectored > 1.0, "sectoring must save traffic: {r:?}");
         assert!(r.compressed > 1.0, "compression must save traffic: {r:?}");
         assert!(
@@ -278,14 +301,17 @@ mod tests {
     #[test]
     fn coherent_compressed_composition_runs() {
         let e = ComboSim { seed: 47 };
-        let (full, inv, _) = e.coherent_traffic(FillSpec::FullLine, 30_000);
-        let (comp, comp_inv, _) = e.coherent_traffic(
-            FillSpec::Compressed {
-                compressor: CompressorKind::Fpc,
-                values: e.values(),
-            },
-            30_000,
-        );
+        let mut stream = e.coherent_stream(30_000);
+        let (full, inv, _) = e.coherent_traffic(&mut stream, FillSpec::FullLine).unwrap();
+        let (comp, comp_inv, _) = e
+            .coherent_traffic(
+                &mut stream,
+                FillSpec::Compressed {
+                    compressor: CompressorKind::Fpc,
+                    values: e.values(),
+                },
+            )
+            .unwrap();
         assert!(inv > 0 && comp_inv > 0, "coherence must be exercised");
         assert!(
             comp < full,

@@ -13,8 +13,7 @@
 //! of 4, 8 and 16 cores).
 
 use crate::error::ExperimentError;
-use crate::perf::host_parallelism;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{CacheConfig, CmpSimConfig, FillSpec, L2Organization};
 use bandwall_trace::ParsecLikeTrace;
@@ -29,11 +28,11 @@ pub struct Fig14ParsecSharing {
 }
 
 impl Fig14ParsecSharing {
-    fn shared_fraction(&self, cores: u16) -> f64 {
+    fn shared_fraction(&self, cores: u16) -> Result<f64, ExperimentError> {
         let sim = CmpSimConfig {
             cores,
-            l1: CacheConfig::new(512, 64, 2).expect("valid L1"),
-            l2: CacheConfig::new(512 << 10, 64, 8).expect("valid L2"),
+            l1: CacheConfig::new(512, 64, 2)?,
+            l2: CacheConfig::new(512 << 10, 64, 8)?,
             organization: L2Organization::Shared,
             l2_fill: FillSpec::FullLine,
             flush: false,
@@ -42,15 +41,11 @@ impl Fig14ParsecSharing {
             .shared_access_fraction(0.4)
             .seed(self.seed)
             .build();
-        // The banked engine is bit-identical at every thread count, so
-        // threading never moves the reported numbers.
-        let stats = sim
-            .run(&mut trace, ACCESSES, host_parallelism())
-            .expect("valid geometry");
-        stats
+        let stats = sim.run(&mut trace, ACCESSES, sim_banks())?;
+        Ok(stats
             .sharing
             .expect("shared L2 tracks sharing")
-            .shared_fraction()
+            .shared_fraction())
     }
 }
 
@@ -71,7 +66,7 @@ impl Experiment for Fig14ParsecSharing {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let mut table = TableBlock::new(&["cores", "% shared cache lines", "paper"]);
         for (cores, paper) in [(4u16, 0.173), (8, 0.162), (16, 0.152)] {
-            let f = self.shared_fraction(cores);
+            let f = self.shared_fraction(cores)?;
             table.push_row(vec![
                 Value::int(cores as u64),
                 Value::fmt(format!("{:.1}%", f * 100.0), f),

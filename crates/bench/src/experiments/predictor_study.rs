@@ -10,11 +10,11 @@
 
 use crate::error::ExperimentError;
 use crate::paper_baseline;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, PredictiveSectoredCache, SectoredCache};
+use bandwall_cache_sim::{CacheConfig, EngineSimConfig, FillSpec};
 use bandwall_model::{ScalingProblem, Technique};
-use bandwall_trace::{StackDistanceTrace, TraceSource};
+use bandwall_trace::{ReplayTrace, StackDistanceTrace};
 
 const ACCESSES: usize = 300_000;
 
@@ -57,19 +57,23 @@ impl Experiment for PredictorStudy {
 
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
-        let config = CacheConfig::new(64 << 10, 64, 8).expect("valid geometry");
-
-        let mut demand = SectoredCache::new(config, 8);
-        let mut trace = self.workload();
-        for a in trace.iter().take(ACCESSES) {
-            demand.access(a.address(), a.kind().is_write());
-        }
-
-        let mut predictive = PredictiveSectoredCache::new(config, 8);
-        let mut trace = self.workload();
-        for a in trace.iter().take(ACCESSES) {
-            predictive.access(a.address(), a.kind().is_write());
-        }
+        let cache = CacheConfig::new(64 << 10, 64, 8)?;
+        let mut stream = ReplayTrace::record(&mut self.workload(), ACCESSES);
+        let mut run = |fill| {
+            stream.rewind();
+            EngineSimConfig {
+                cache,
+                fill,
+                flush: false,
+            }
+            .run(&mut stream, ACCESSES, sim_banks())
+        };
+        let demand = run(FillSpec::Sectored {
+            sectors_per_line: 8,
+        })?;
+        let predictive = run(FillSpec::PredictiveSectored {
+            sectors_per_line: 8,
+        })?;
 
         let oracle_savings = 0.375; // the static unused fraction
 
@@ -86,7 +90,7 @@ impl Experiment for PredictorStudy {
                 format!("{:.1}%", demand.fetch_savings() * 100.0),
                 demand.fetch_savings(),
             ),
-            Value::int(demand.stats().misses()),
+            Value::int(demand.cache.misses()),
             Value::text("-"),
             Value::int(cores_for(demand.fetch_savings())?),
         ]);
@@ -96,7 +100,7 @@ impl Experiment for PredictorStudy {
                 format!("{:.1}%", predictive.fetch_savings() * 100.0),
                 predictive.fetch_savings(),
             ),
-            Value::int(predictive.stats().misses()),
+            Value::int(predictive.cache.misses()),
             Value::fmt(
                 format!("{:.1}%", predictive.overfetch_fraction() * 100.0),
                 predictive.overfetch_fraction(),

@@ -9,10 +9,10 @@
 //! off-chip traffic.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
-use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
+use bandwall_cache_sim::{CacheConfig, CmpSimConfig, FillSpec, L2Organization};
+use bandwall_trace::{ReplayTrace, StackDistanceTrace};
 
 const ACCESSES: usize = 250_000;
 
@@ -25,7 +25,7 @@ pub struct ValidateLineSize {
 
 impl ValidateLineSize {
     /// The stream every line size replays.
-    fn stream(&self) -> Vec<MemoryAccess> {
+    fn stream(&self) -> ReplayTrace {
         // Spatial locality limited to the first 2 words of each 64-byte
         // region, regardless of the cache's line size.
         let mut trace = StackDistanceTrace::builder(0.5)
@@ -34,24 +34,25 @@ impl ValidateLineSize {
             .touched_words(2)
             .max_distance(1 << 14)
             .build();
-        materialize(&mut trace, ACCESSES)
+        ReplayTrace::record(&mut trace, ACCESSES)
     }
 
     fn traffic_for_line_size(
         &self,
-        stream: &[MemoryAccess],
+        stream: &mut ReplayTrace,
         line: u64,
     ) -> Result<u64, ExperimentError> {
-        let mut h = CmpSystem::try_new(
-            1,
-            CacheConfig::new(4 << 10, line, 2)?,
-            CacheConfig::new(128 << 10, line, 8)?,
-            L2Organization::Private,
-        )?;
-        for a in stream {
-            h.access(*a);
-        }
-        Ok(h.memory_traffic().total_bytes())
+        let sim = CmpSimConfig {
+            cores: 1,
+            l1: CacheConfig::new(4 << 10, line, 2)?,
+            l2: CacheConfig::new(128 << 10, line, 8)?,
+            organization: L2Organization::Private,
+            l2_fill: FillSpec::FullLine,
+            flush: false,
+        };
+        stream.rewind();
+        let stats = sim.run(stream, ACCESSES, sim_banks())?;
+        Ok(stats.traffic.total_bytes())
     }
 }
 
@@ -71,10 +72,10 @@ impl Experiment for ValidateLineSize {
     fn run(&self) -> Result<Report, ExperimentError> {
         let mut report = Report::new(self.id(), self.figure(), self.title());
         let mut table = TableBlock::new(&["line size", "total traffic", "bytes/access", "vs 64 B"]);
-        let stream = self.stream();
+        let mut stream = self.stream();
         let traffic = [16u64, 32, 64, 128]
             .into_iter()
-            .map(|line| Ok((line, self.traffic_for_line_size(&stream, line)?)))
+            .map(|line| Ok((line, self.traffic_for_line_size(&mut stream, line)?)))
             .collect::<Result<Vec<_>, ExperimentError>>()?;
         let reference = traffic
             .iter()

@@ -8,10 +8,12 @@
 //! a range of L2 sizes for two write intensities.
 
 use crate::error::ExperimentError;
-use crate::registry::Experiment;
+use crate::registry::{sim_banks, Experiment};
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, CmpSystem, L2Organization};
-use bandwall_trace::{materialize, MemoryAccess, StackDistanceTrace};
+use bandwall_cache_sim::{CacheConfig, CmpSimConfig, FillSpec, L2Organization};
+use bandwall_trace::{ReplayTrace, StackDistanceTrace};
+
+const ACCESSES: usize = 300_000;
 
 /// Write-back ratio validation on a one-core L1 + private L2 hierarchy.
 #[derive(Debug, Clone)]
@@ -22,26 +24,26 @@ pub struct ValidateWriteback {
 
 impl ValidateWriteback {
     /// The stream every L2 size replays at one write fraction.
-    fn stream(&self, write_fraction: f64) -> Vec<MemoryAccess> {
+    fn stream(&self, write_fraction: f64) -> ReplayTrace {
         let mut trace = StackDistanceTrace::builder(0.5)
             .seed(self.seed)
             .write_fraction(write_fraction)
             .max_distance(1 << 15)
             .build();
-        materialize(&mut trace, 300_000)
+        ReplayTrace::record(&mut trace, ACCESSES)
     }
 
-    fn rwb(&self, stream: &[MemoryAccess], l2_kb: u64) -> Result<(f64, f64), ExperimentError> {
-        let mut h = CmpSystem::try_new(
-            1,
-            CacheConfig::new(4 << 10, 64, 2)?,
-            CacheConfig::new(l2_kb << 10, 64, 8)?,
-            L2Organization::Private,
-        )?;
-        for a in stream {
-            h.access(*a);
-        }
-        let l2 = h.l2_stats();
+    fn rwb(&self, stream: &mut ReplayTrace, l2_kb: u64) -> Result<(f64, f64), ExperimentError> {
+        let sim = CmpSimConfig {
+            cores: 1,
+            l1: CacheConfig::new(4 << 10, 64, 2)?,
+            l2: CacheConfig::new(l2_kb << 10, 64, 8)?,
+            organization: L2Organization::Private,
+            l2_fill: FillSpec::FullLine,
+            flush: false,
+        };
+        stream.rewind();
+        let l2 = sim.run(stream, ACCESSES, sim_banks())?.l2;
         Ok((l2.writeback_ratio(), l2.miss_rate()))
     }
 }
@@ -65,9 +67,9 @@ impl Experiment for ValidateWriteback {
             report.blank();
             report.note(format!("write fraction = {wf}"));
             let mut table = TableBlock::new(&["L2 size", "rwb (writebacks/miss)", "L2 miss rate"]);
-            let stream = self.stream(wf);
+            let mut stream = self.stream(wf);
             for l2_kb in [16u64, 32, 64, 128, 256] {
-                let (ratio, miss) = self.rwb(&stream, l2_kb)?;
+                let (ratio, miss) = self.rwb(&mut stream, l2_kb)?;
                 table.push_row(vec![
                     Value::fmt(format!("{l2_kb} KB"), l2_kb as f64),
                     Value::float(ratio, 3),

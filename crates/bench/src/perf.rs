@@ -23,7 +23,8 @@
 //!   deterministic stream of commercial-profile lines.
 //! * `experiments` — end-to-end registry experiment runs: one analytic
 //!   figure and four trace-driven experiments (Figures 1 and 14, the
-//!   replacement ablation and the coherence study).
+//!   replacement ablation and the coherence study), one at a time, so
+//!   each simulates on [`registry::sim_banks`] banks: every host CPU.
 //! * `serve` — the model-query service over loopback HTTP.
 //! * `model` — the analytic kernels: the power-law miss rate, relative
 //!   traffic, the supportable-core solve by integer search and by Brent
@@ -47,7 +48,7 @@ use bandwall_model::{
     catalog, Alpha, AssumptionLevel, MissRateCurve, ScalingProblem, Technique, TrafficModel,
 };
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
-use bandwall_trace::{materialize, ParsecLikeTrace, ReplayTrace};
+use bandwall_trace::{ParsecLikeTrace, ReplayTrace};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -106,7 +107,9 @@ pub struct BenchResult {
     pub id: String,
     /// Human-readable kernel description.
     pub title: String,
-    /// Worker threads the kernel requested (1 for sequential kernels).
+    /// Worker threads the kernel requested (1 for sequential kernels; for
+    /// a registry experiment, the bank count [`registry::sim_banks`]
+    /// gave its simulations, which analytic entries do not run).
     pub threads: usize,
     /// Items processed per sample, for throughput (`unit`s per second).
     pub items: u64,
@@ -337,8 +340,7 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
         accesses as u64,
         "accesses",
         time_samples(options, || {
-            let mut trace = fig14_trace();
-            std::hint::black_box(materialize(&mut trace, accesses));
+            std::hint::black_box(fig14_replay(accesses));
         }),
     )];
     cmp_sim_kernels(
@@ -415,7 +417,7 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
             "accesses",
             time_samples(options, || {
                 replay.rewind();
-                std::hint::black_box(sim.run(&mut replay, accesses, 1));
+                std::hint::black_box(sim.run(&mut replay, accesses, 1).expect("valid"));
             }),
         ));
         let seq_median = results.last().expect("just pushed").median_ns();
@@ -431,7 +433,7 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
             "accesses",
             time_samples(options, || {
                 replay.rewind();
-                std::hint::black_box(sim.run(&mut replay, accesses, threads));
+                std::hint::black_box(sim.run(&mut replay, accesses, threads).expect("valid"));
             }),
         );
         let median = r.median_ns();
@@ -496,7 +498,7 @@ fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {
             BenchResult::from_samples(
                 format!("experiment_{id}"),
                 format!("registry experiment {id}, end to end"),
-                1,
+                registry::sim_banks(),
                 1,
                 "runs",
                 time_samples(options, || {
@@ -731,7 +733,7 @@ impl BenchGroup {
             out.push_str(&format!(
                 "{{\"id\":\"{}\",\"title\":\"{}\",\"threads\":{},\"median_ns\":{},\
                  \"p10_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"unit\":\"{}\",\
-                 \"items_per_sec\":{:.1},\"speedup_vs_sequential\":{}}}",
+                 \"items_per_sec\":{},\"speedup_vs_sequential\":{}}}",
                 r.id,
                 r.title,
                 r.threads,
@@ -785,6 +787,30 @@ mod tests {
         let r = BenchResult::from_samples("k", "t", 1, 1_000, "items", vec![1_000_000]);
         // 1000 items in 1 ms = 1M items/s.
         assert!((r.items_per_sec() - 1e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn snapshot_keeps_the_rate_digits() {
+        // 1 run in 534.76 ms is 1.87 runs/s: one decimal would print 1.9
+        // and hide a 5% move.
+        let group = BenchGroup {
+            group: "experiments".to_string(),
+            options: tiny(),
+            host_parallelism: 1,
+            results: vec![BenchResult::from_samples(
+                "k",
+                "t",
+                1,
+                1,
+                "runs",
+                vec![534_759_358],
+            )],
+        };
+        assert!(
+            group.snapshot_json().contains("\"items_per_sec\":1.87"),
+            "{}",
+            group.snapshot_json()
+        );
     }
 
     #[test]

@@ -3,7 +3,29 @@
 //! list, run, and render them all.
 
 use crate::error::ExperimentError;
+use crate::perf::host_parallelism;
 use crate::report::Report;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// How many experiments the process runs at once (1 unless `bandwall
+/// run` records more through [`set_concurrent_experiments`]).
+static CONCURRENT_EXPERIMENTS: AtomicUsize = AtomicUsize::new(1);
+
+/// Records how many experiments run at once, so that [`sim_banks`]
+/// divides the host's CPUs among them. `bandwall run` records its
+/// worker count, `--jobs` capped at the number of experiments selected.
+pub fn set_concurrent_experiments(experiments: usize) {
+    CONCURRENT_EXPERIMENTS.store(experiments.max(1), Ordering::Relaxed);
+}
+
+/// The bank count every simulated registry entry passes to
+/// `*SimConfig::run`: the host's CPUs divided among the experiments
+/// running at once, and at least 1. The engine's merged statistics are
+/// bit-identical at every bank count, so this moves wall time, never a
+/// report byte.
+pub fn sim_banks() -> usize {
+    (host_parallelism() / CONCURRENT_EXPERIMENTS.load(Ordering::Relaxed)).max(1)
+}
 
 /// A runnable experiment. Implementations are stateless apart from
 /// configuration (e.g. an RNG seed), so one instance can be run from

@@ -96,8 +96,8 @@ use crate::cmp::{CmpSystem, L2Organization};
 use crate::coherence::{CoherenceStats, CoherentCmp};
 use crate::config::{CacheConfig, ConfigError};
 use crate::pipeline::{
-    CompressedFill, Fill, FillSpec, FullLineFill, PipelineCache, PredictiveSectoredFill,
-    SectoredCompressedFill, SectoredFill,
+    fetch_savings, overfetch_fraction, CompressedFill, Fill, FillSpec, FullLineFill, PipelineCache,
+    PredictiveSectoredFill, SectoredCompressedFill, SectoredFill,
 };
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats};
 use bandwall_compress::CompressionStats;
@@ -267,6 +267,20 @@ pub struct EngineSimStats {
     pub overfetched_sectors: u64,
 }
 
+impl EngineSimStats {
+    /// Fraction of fetch traffic eliminated relative to whole-line
+    /// fetching, as [`PipelineCache::fetch_savings`] reports it.
+    pub fn fetch_savings(&self) -> f64 {
+        fetch_savings(self.traffic.fetched_bytes(), self.conventional_fetch_bytes)
+    }
+
+    /// Fraction of prefetched sectors never used, as
+    /// [`PipelineCache::overfetch_fraction`] reports it.
+    pub fn overfetch_fraction(&self) -> f64 {
+        overfetch_fraction(self.prefetched_sectors, self.overfetched_sectors)
+    }
+}
+
 impl EngineSimConfig {
     /// The partition a run at this thread count uses. Every policy and
     /// fill partitions; only the set count can cap the bank count.
@@ -279,10 +293,12 @@ impl EngineSimConfig {
     /// count; `run(trace, n, 1)` is the sequential case of the same
     /// path.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the fill/geometry combination is invalid (tree-PLRU with
-    /// a compressed fill, or more sectors than line bytes).
+    /// Returns [`ConfigError::OutOfRange`] when the fill does not fit the
+    /// cache: a sector count that is not a power of two, above 64 or
+    /// above the line's bytes, or tree-PLRU over a compressed fill or a
+    /// non-power-of-two associativity.
     // with_fill! expands this body once per fill variant; the clone the
     // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
     #[allow(clippy::clone_on_copy)]
@@ -291,7 +307,8 @@ impl EngineSimConfig {
         trace: &mut T,
         accesses: usize,
         threads: usize,
-    ) -> EngineSimStats {
+    ) -> Result<EngineSimStats, ConfigError> {
+        self.fill.check(&self.cache)?;
         let partitioning = self.partitioning(threads);
         with_fill!(self.fill, fill => {
             let per_bank = run_banked(trace, accesses, partitioning, |stream| {
@@ -313,7 +330,7 @@ impl EngineSimConfig {
                 merged.prefetched_sectors += bank.prefetched_sectors;
                 merged.overfetched_sectors += bank.overfetched_sectors;
             }
-            merged
+            Ok(merged)
         })
     }
 
@@ -417,7 +434,9 @@ impl CmpSimConfig {
     /// [`ConfigError::OutOfRange`] when the organisation is
     /// [`L2Organization::InclusivePrivate`] or
     /// [`L2Organization::ExclusivePrivate`] and the L2 is sectored,
-    /// compressed, or of another line size than the L1.
+    /// compressed, or of another line size than the L1, or when a fill
+    /// does not fit its cache as [`EngineSimConfig::run`] describes (the
+    /// L1s are whole-line).
     // with_fill! expands this body once per fill variant; the clone the
     // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
     #[allow(clippy::clone_on_copy)]
@@ -427,6 +446,8 @@ impl CmpSimConfig {
         accesses: usize,
         threads: usize,
     ) -> Result<CmpSimStats, ConfigError> {
+        FillSpec::FullLine.check(&self.l1)?;
+        self.l2_fill.check(&self.l2)?;
         let partitioning = self.partitioning(threads);
         with_fill!(self.l2_fill, fill => {
             self.build_with(fill.clone())?; // surface geometry errors before spawning
@@ -514,7 +535,9 @@ impl CoherentSimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when `cores` is 0 or exceeds 64.
+    /// Returns [`ConfigError`] when `cores` is 0 or exceeds 64, or when
+    /// the fill does not fit the cache as [`EngineSimConfig::run`]
+    /// describes.
     // with_fill! expands this body once per fill variant; the clone the
     // non-Copy compressed fills need trips clone_on_copy on the Copy ones.
     #[allow(clippy::clone_on_copy)]
@@ -524,6 +547,7 @@ impl CoherentSimConfig {
         accesses: usize,
         threads: usize,
     ) -> Result<CoherentSimStats, ConfigError> {
+        self.fill.check(&self.cache)?;
         let partitioning = self.partitioning(threads);
         with_fill!(self.fill, fill => {
             self.build_with(fill.clone())?;
@@ -695,6 +719,7 @@ where
 mod tests {
     use super::*;
     use crate::config::ReplacementPolicy;
+    use crate::pipeline::{CompressorKind, ProfileKind, ValueSpec};
     use bandwall_trace::ParsecLikeTrace;
 
     fn shared_config() -> CmpSimConfig {
@@ -818,6 +843,68 @@ mod tests {
                     ..
                 })
             ));
+        }
+
+        // A fill that does not fit its cache is an error on every runner
+        // at every bank count, never a panic inside a bank worker.
+        let cache = CacheConfig::new(4096, 64, 4).unwrap();
+        let plru = cache.with_policy(ReplacementPolicy::TreePlru);
+        let compressed = FillSpec::Compressed {
+            compressor: CompressorKind::Fpc,
+            values: ValueSpec {
+                profile: ProfileKind::Commercial,
+                seed: 1,
+            },
+        };
+        let cases = [
+            (plru, compressed, "policy"),
+            (
+                cache,
+                FillSpec::Sectored {
+                    sectors_per_line: 128,
+                },
+                "sectors_per_line",
+            ),
+            (
+                cache,
+                FillSpec::Sectored {
+                    sectors_per_line: 3,
+                },
+                "sectors_per_line",
+            ),
+        ];
+        fn out_of_range<T>(result: Result<T, ConfigError>) -> Option<&'static str> {
+            match result {
+                Err(ConfigError::OutOfRange { name, .. }) => Some(name),
+                _ => None,
+            }
+        }
+        for (cache, fill, name) in cases {
+            let cmp = CmpSimConfig {
+                l2: cache,
+                l2_fill: fill,
+                ..shared_config()
+            };
+            let coherent = CoherentSimConfig {
+                cores: 4,
+                cache,
+                fill,
+                flush: false,
+            };
+            let engine = EngineSimConfig {
+                cache,
+                fill,
+                flush: false,
+            };
+            for threads in [1, 4] {
+                let mut t = ParsecLikeTrace::builder(4).seed(1).build();
+                let runs = [
+                    out_of_range(cmp.run(&mut t, 10, threads)),
+                    out_of_range(coherent.run(&mut t, 10, threads)),
+                    out_of_range(engine.run(&mut t, 10, threads)),
+                ];
+                assert_eq!(runs, [Some(name); 3], "{fill:?} at {threads} threads");
+            }
         }
     }
 }

@@ -43,7 +43,7 @@
 //! The cache types are thin aliases over this engine (see `cache.rs`,
 //! `sectored.rs`, `compressed.rs`).
 
-use crate::config::{CacheConfig, ReplacementPolicy};
+use crate::config::{CacheConfig, ConfigError, ReplacementPolicy};
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
 use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, ZeroRle};
 use bandwall_numerics::Rng;
@@ -359,6 +359,46 @@ impl FillSpec {
             FillSpec::SectoredCompressed { .. } => "sectored+compressed",
         }
     }
+
+    /// Checks that [`PipelineCache::with_fill`] can build this fill over
+    /// `cache`, so a run rejects a bad configuration with an error
+    /// instead of panicking inside a bank worker: the sector count must
+    /// be a power of two, at most 64 (the sector mask) and at most the
+    /// line's bytes, and tree-PLRU needs a power-of-two associativity
+    /// and fixed ways, which compressed sets do not have.
+    pub(crate) fn check(&self, cache: &CacheConfig) -> Result<(), ConfigError> {
+        let (sectors, budgeted) = match *self {
+            FillSpec::FullLine => (1, false),
+            FillSpec::Sectored { sectors_per_line }
+            | FillSpec::PredictiveSectored { sectors_per_line } => (sectors_per_line, false),
+            FillSpec::Compressed { .. } => (1, true),
+            FillSpec::SectoredCompressed {
+                sectors_per_line, ..
+            } => (sectors_per_line, true),
+        };
+        let out_of_range = |name, constraint| Err(ConfigError::OutOfRange { name, constraint });
+        if !sectors.is_power_of_two() {
+            return out_of_range("sectors_per_line", "must be a positive power of two");
+        }
+        if sectors > 64 {
+            return out_of_range("sectors_per_line", "must be at most 64 (the sector mask)");
+        }
+        if u64::from(sectors) > cache.line_size() {
+            return out_of_range("sectors_per_line", "must not exceed the line's bytes");
+        }
+        if cache.policy() == ReplacementPolicy::TreePlru {
+            if !cache.associativity().is_power_of_two() {
+                return out_of_range("associativity", "must be a power of two under tree-PLRU");
+            }
+            if budgeted {
+                return out_of_range(
+                    "policy",
+                    "tree-PLRU needs fixed ways; compressed sets have none",
+                );
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Compression engines nameable from a plain-data [`FillSpec`].
@@ -436,6 +476,25 @@ impl SectoredCompressedFill {
     pub fn from_spec(sectors_per_line: u32, compressor: CompressorKind, values: ValueSpec) -> Self {
         SectoredCompressedFill::new(sectors_per_line, compressor.build())
             .with_values(values.generator())
+    }
+}
+
+/// The one formula behind [`PipelineCache::fetch_savings`] and the
+/// engine run's stats.
+pub(crate) fn fetch_savings(fetched_bytes: u64, conventional_fetch_bytes: u64) -> f64 {
+    if conventional_fetch_bytes == 0 {
+        0.0
+    } else {
+        1.0 - fetched_bytes as f64 / conventional_fetch_bytes as f64
+    }
+}
+
+/// The one formula behind [`PipelineCache::overfetch_fraction`] and the
+/// engine run's stats.
+pub(crate) fn overfetch_fraction(prefetched_sectors: u64, overfetched_sectors: u64) -> f64 {
+    match prefetched_sectors {
+        0 => 0.0,
+        prefetched => overfetched_sectors as f64 / prefetched as f64,
     }
 }
 
@@ -1029,11 +1088,7 @@ impl<F: Fill> PipelineCache<F> {
     /// Fraction of fetch traffic eliminated relative to whole-line
     /// fetching (zero for whole-line fills).
     pub fn fetch_savings(&self) -> f64 {
-        if self.conventional_fetch_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.traffic.fetched_bytes() as f64 / self.conventional_fetch_bytes as f64
-        }
+        fetch_savings(self.traffic.fetched_bytes(), self.conventional_fetch_bytes)
     }
 
     /// Sectors the footprint predictor fetched beyond the demanded ones
@@ -1054,10 +1109,7 @@ impl<F: Fill> PipelineCache<F> {
     /// left the cache: wasted bandwidth, 0 for a perfect predictor (and
     /// without prediction).
     pub fn overfetch_fraction(&self) -> f64 {
-        match self.prefetched_sectors() {
-            0 => 0.0,
-            prefetched => self.overfetched_sectors() as f64 / prefetched as f64,
-        }
+        overfetch_fraction(self.prefetched_sectors(), self.overfetched_sectors())
     }
 
     /// Word-usage statistics, if tracking is enabled.

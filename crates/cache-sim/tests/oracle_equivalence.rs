@@ -125,7 +125,9 @@ fn assert_fill_matches_oracle(fill: FillSpec) {
                 for flush in [false, true] {
                     let config = EngineSimConfig { cache, fill, flush };
                     let seed = 41 + line_size;
-                    let engine = config.run(&mut workload(write_fraction, seed), ACCESSES, 1);
+                    let engine = config
+                        .run(&mut workload(write_fraction, seed), ACCESSES, 1)
+                        .unwrap();
                     let expected =
                         oracle::run(&config, &mut workload(write_fraction, seed), ACCESSES);
                     assert_eq!(

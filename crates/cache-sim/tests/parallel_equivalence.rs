@@ -396,10 +396,12 @@ fn engine_grid_is_bit_identical_for_every_fill() {
                 flush,
             };
             for w in 0..WORKLOADS {
-                let reference = config.run(&mut workload(w, 4, 23), 40_000, 1);
+                let reference = config.run(&mut workload(w, 4, 23), 40_000, 1).unwrap();
                 for threads in THREADS {
                     assert_banked(config.partitioning(threads), threads, &config);
-                    let banked = config.run(&mut workload(w, 4, 23), 40_000, threads);
+                    let banked = config
+                        .run(&mut workload(w, 4, 23), 40_000, threads)
+                        .unwrap();
                     assert_eq!(
                         reference, banked,
                         "fill {fill:?}, flush {flush}, workload {w}, threads {threads}"
@@ -430,9 +432,11 @@ fn engine_random_replacement_banks_for_every_fill() {
             },
             "fill {fill:?}"
         );
-        let reference = config.run(&mut workload(0, 4, 31), 20_000, 1);
+        let reference = config.run(&mut workload(0, 4, 31), 20_000, 1).unwrap();
         for threads in THREADS {
-            let banked = config.run(&mut workload(0, 4, 31), 20_000, threads);
+            let banked = config
+                .run(&mut workload(0, 4, 31), 20_000, threads)
+                .unwrap();
             assert_eq!(reference, banked, "fill {fill:?}, threads {threads}");
         }
     }

@@ -75,7 +75,9 @@ fn assert_matches_oracle(fill_for: impl Fn(ProfileKind) -> FillSpec, accesses: u
             let seed = 97 ^ (write_fraction * 10.0) as u64;
             let expected = oracle::run(&config, &mut grid_trace(write_fraction, seed), accesses);
             for threads in THREADS {
-                let fast = config.run(&mut grid_trace(write_fraction, seed), accesses, threads);
+                let fast = config
+                    .run(&mut grid_trace(write_fraction, seed), accesses, threads)
+                    .unwrap();
                 assert_eq!(
                     expected, fast,
                     "fill {fill:?}, profile {profile:?}, write fraction {write_fraction}, \

@@ -1,15 +1,15 @@
 //! Recorded traces: generate a stream once, replay it many times.
 //!
-//! [`materialize`] records the first accesses of any [`TraceSource`];
-//! [`ReplayTrace`] feeds a recording back as a trace source. Experiments
-//! that run several caches over one workload generate it once this way,
-//! and the performance harness uses it to time simulation without
-//! generation.
+//! [`ReplayTrace::record`] records the first accesses of any
+//! [`TraceSource`] and feeds them back as a trace source. Experiments
+//! that run several caches over one workload generate it once this way
+//! and [`ReplayTrace::rewind`] before each run, and the performance
+//! harness uses it to time simulation without generation.
 
 use crate::access::{MemoryAccess, TraceSource};
 
 /// Materialises the first `total` accesses of a trace into one vector.
-pub fn materialize<T: TraceSource>(source: &mut T, total: usize) -> Vec<MemoryAccess> {
+fn materialize<T: TraceSource>(source: &mut T, total: usize) -> Vec<MemoryAccess> {
     let mut out = Vec::with_capacity(total);
     for _ in 0..total {
         out.push(source.next_access());
@@ -17,26 +17,29 @@ pub fn materialize<T: TraceSource>(source: &mut T, total: usize) -> Vec<MemoryAc
     out
 }
 
-/// A [`TraceSource`] that replays a materialised access vector, cycling
+/// A [`TraceSource`] that replays a recorded access vector, cycling
 /// back to the start when exhausted.
 ///
 /// Replay separates trace *generation* cost from simulation cost: the
-/// performance harness materialises a workload once and feeds the recorded
+/// performance harness records a workload once and feeds the recorded
 /// stream to the engines, so kernel throughput measures the cache
 /// simulator alone.
 ///
 /// # Examples
 ///
 /// ```
-/// use bandwall_trace::{materialize, ReplayTrace, StackDistanceTrace, TraceSource};
+/// use bandwall_trace::{ReplayTrace, StackDistanceTrace, TraceSource};
 ///
-/// let mut gen = StackDistanceTrace::builder(0.5).seed(1).build();
-/// let recorded = materialize(&mut gen, 100);
-/// let mut replay = ReplayTrace::new(recorded.clone());
+/// let trace = || StackDistanceTrace::builder(0.5).seed(1).build();
+/// let mut replay = ReplayTrace::record(&mut trace(), 100);
+/// let generated: Vec<_> = trace().iter().take(100).collect();
+/// assert_eq!(replay.accesses(), &generated[..]);
 /// let replayed: Vec<_> = replay.iter().take(100).collect();
-/// assert_eq!(replayed, recorded);
-/// // Past the end, the stream cycles.
-/// assert_eq!(replay.next_access(), recorded[0]);
+/// assert_eq!(replayed, generated);
+/// // Past the end, the stream cycles; a rewind starts it over.
+/// assert_eq!(replay.next_access(), generated[0]);
+/// replay.rewind();
+/// assert_eq!(replay.next_access(), generated[0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplayTrace {

@@ -21,9 +21,10 @@
 //!   size an access misses at.
 //! * [`values`] — deterministic line *payload* generation for the
 //!   compression studies.
-//! * [`materialize`] / [`ReplayTrace`] — record a stream once and
-//!   replay it, so several caches (or timed benchmark iterations) see the
-//!   same accesses without regenerating them.
+//! * [`ReplayTrace`] — record a stream once ([`ReplayTrace::record`])
+//!   and replay it after a [`ReplayTrace::rewind`], so several caches (or
+//!   timed benchmark iterations) see the same accesses without
+//!   regenerating them.
 //!
 //! Everything is seeded and reproducible: the same seed always produces
 //! the same trace.
@@ -66,7 +67,7 @@ mod working_set;
 mod zipf;
 
 pub use access::{AccessKind, MemoryAccess, TraceIter, TraceSource};
-pub use chunked::{materialize, ReplayTrace};
+pub use chunked::ReplayTrace;
 pub use mix::{MixTrace, MixTraceBuilder};
 pub use parsec_like::{ParsecLikeTrace, ParsecLikeTraceBuilder};
 pub use pointer_chase::{PointerChaseTrace, PointerChaseTraceBuilder};
