@@ -1332,7 +1332,7 @@ loadgen --floor id=inf|--floor rate must be positive
 loadgen --floor id=1e309|--floor rate must be positive";
 
     /// The argv lists CI, README, perfbench and the verify skill run.
-    const DOCUMENTED: [&str; 13] = [
+    const DOCUMENTED: [&str; 14] = [
         "run --all --jobs 2 --format json --out golden-check",
         "run fig16_combinations",
         "run --all --out reports/ --format csv",
@@ -1341,6 +1341,11 @@ loadgen --floor id=1e309|--floor rate must be positive";
         "bench --quick --format json --snapshot snaps --floor compressed_sim_seq=4000000 \
          --floor model_solve_combination_16x=500000 --floor experiment_ablate_replacement=1.5 \
          --floor experiment_fig01_power_law=1.3",
+        "bench --quick --format json --snapshot bench-snapshots \
+         --floor compressed_sim_seq=4000000 --floor fig14_trace_gen=14000000 \
+         --floor experiment_ablate_replacement=1.5 --floor experiment_fig01_power_law=1.3 \
+         --floor model_solve_combination_16x=120000 --floor lru_sim_seq=24500000 \
+         --floor experiment_coherence_study=4.2",
         "bench --snapshot .",
         "bench model --quick",
         "serve --addr 127.0.0.1:8787 --workers 2",

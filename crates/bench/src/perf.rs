@@ -15,15 +15,17 @@
 //!   configurations that historically fell back to sequential —
 //!   Random replacement and mismatched L1/L2 line sizes — and the
 //!   sectored, compressed and footprint-predicting sectored fills of the
-//!   unified pipeline. On a
+//!   unified pipeline; and `lru_sim_seq`, a plain 64 KB LRU cache on one
+//!   bank over a recorded α = 0.5 stack-distance trace. On a
 //!   multi-core host the parallel rows scale with the bank count; on a
 //!   single hardware thread they measure the engine's overhead (the
 //!   snapshot records `host_parallelism` so readers can tell which).
 //! * `compress` — every cache-line compression engine over an identical
 //!   deterministic stream of commercial-profile lines.
 //! * `experiments` — end-to-end registry experiment runs: one analytic
-//!   figure and four trace-driven experiments (Figures 1 and 14, the
-//!   replacement ablation and the coherence study), one at a time, so
+//!   figure and five trace-driven experiments (Figures 1 and 14, the
+//!   replacement ablation, the coherence study and the write-back
+//!   validation), one at a time, so
 //!   each simulates on [`registry::sim_banks`] banks: every host CPU.
 //! * `serve` — the model-query service over loopback HTTP.
 //! * `model` — the analytic kernels: the power-law miss rate, relative
@@ -48,7 +50,7 @@ use bandwall_model::{
     catalog, Alpha, AssumptionLevel, MissRateCurve, ScalingProblem, Technique, TrafficModel,
 };
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
-use bandwall_trace::{ParsecLikeTrace, ReplayTrace};
+use bandwall_trace::{ParsecLikeTrace, ReplayTrace, StackDistanceTrace};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -442,6 +444,26 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
         }
         results.push(r);
     }
+    let lru = EngineSimConfig {
+        cache: CacheConfig::new(64 << 10, 64, 8).expect("valid geometry"),
+        fill: FillSpec::FullLine,
+        flush: false,
+    };
+    let mut replay = ReplayTrace::record(
+        &mut StackDistanceTrace::builder(0.5).seed(2026).build(),
+        accesses,
+    );
+    results.push(BenchResult::from_samples(
+        "lru_sim_seq",
+        "64 KB 8-way LRU cache over an alpha = 0.5 stack-distance trace, 1 bank",
+        1,
+        accesses as u64,
+        "accesses",
+        time_samples(options, || {
+            replay.rewind();
+            std::hint::black_box(lru.run(&mut replay, accesses, 1).expect("valid"));
+        }),
+    ));
     results
 }
 
@@ -483,12 +505,13 @@ fn compress_results(options: &BenchOptions) -> Vec<BenchResult> {
 }
 
 /// The registry experiments the `experiments` group times end to end.
-const TIMED_EXPERIMENTS: [&str; 5] = [
+const TIMED_EXPERIMENTS: [&str; 6] = [
     "fig01_power_law",
     "fig02_traffic_vs_cores",
     "fig14_parsec_sharing",
     "ablate_replacement",
     "coherence_study",
+    "validate_writeback",
 ];
 
 fn experiment_results(options: &BenchOptions) -> Vec<BenchResult> {
@@ -840,7 +863,8 @@ mod tests {
                 "compressed_sim_seq",
                 "compressed_sim_par4",
                 "predictive_sim_seq",
-                "predictive_sim_par4"
+                "predictive_sim_par4",
+                "lru_sim_seq"
             ]
         );
         for r in &g.results {

@@ -15,8 +15,7 @@
 use crate::config::{CacheConfig, ConfigError};
 use crate::pipeline::{Fill, FullLineFill, PipelineCache};
 use crate::stats::{CacheStats, MemoryTraffic};
-use bandwall_trace::MemoryAccess;
-use std::collections::HashMap;
+use bandwall_trace::{LineMap, LineSet, MemoryAccess};
 
 /// Directory entry: which cores hold the line, and whether one holds it
 /// modified.
@@ -87,13 +86,13 @@ impl CoherenceStats {
 #[derive(Debug, Clone)]
 pub struct CoherentCmp<F: Fill = FullLineFill> {
     caches: Vec<PipelineCache<F>>,
-    directory: HashMap<u64, DirectoryEntry>,
+    directory: LineMap<u64, DirectoryEntry>,
     line_size: u64,
     traffic: MemoryTraffic,
     coherence: CoherenceStats,
     /// Lines each core lost to invalidation (for coherence-miss
     /// classification), as (core, line) pairs.
-    lost_lines: HashMap<(u16, u64), ()>,
+    lost_lines: LineSet<(u16, u64)>,
 }
 
 impl CoherentCmp<FullLineFill> {
@@ -145,11 +144,11 @@ impl<F: Fill> CoherentCmp<F> {
             caches: (0..cores)
                 .map(|_| PipelineCache::with_fill(cache, fill.clone()))
                 .collect(),
-            directory: HashMap::new(),
+            directory: LineMap::default(),
             line_size: cache.line_size(),
             traffic: MemoryTraffic::new(),
             coherence: CoherenceStats::default(),
-            lost_lines: HashMap::new(),
+            lost_lines: LineSet::default(),
         })
     }
 
@@ -218,10 +217,12 @@ impl<F: Fill> CoherentCmp<F> {
             }
         }
 
+        // One directory lookup serves the whole access: invalidating or
+        // cleaning another core's cache never touches the directory.
         let entry = self.directory.entry(line).or_default();
         if !out.is_hit() {
             // Miss: classify and find the data's source.
-            if self.lost_lines.remove(&(core, line)).is_some() {
+            if self.lost_lines.remove(&(core, line)) {
                 self.coherence.coherence_misses += 1;
             }
             let others = entry.sharers & !core_bit;
@@ -236,32 +237,28 @@ impl<F: Fill> CoherentCmp<F> {
 
         if is_write {
             // Gain exclusive ownership: invalidate all other copies.
-            let entry = self.directory.entry(line).or_default();
-            let victims = entry.sharers & !core_bit;
-            if victims != 0 {
-                for other in 0..self.caches.len() as u16 {
-                    if victims & (1u64 << other) != 0 {
-                        if let Some(inv) =
-                            self.caches[other as usize].invalidate(line * self.line_size)
-                        {
-                            self.coherence.invalidations += 1;
-                            self.lost_lines.insert((other, line), ());
-                            // Modified data migrates to the writer, not
-                            // to memory (dirty ownership transfers).
-                            let _ = inv;
-                        }
-                    }
+            // Modified data migrates to the writer, not to memory (dirty
+            // ownership transfers).
+            let mut victims = entry.sharers & !core_bit;
+            while victims != 0 {
+                let other = victims.trailing_zeros() as u16;
+                victims &= victims - 1;
+                if self.caches[other as usize]
+                    .invalidate(line * self.line_size)
+                    .is_some()
+                {
+                    self.coherence.invalidations += 1;
+                    self.lost_lines.insert((other, line));
                 }
             }
-            let entry = self.directory.entry(line).or_default();
             entry.sharers = core_bit;
             entry.owner = Some(core);
-        } else if entry.owner.is_some() && entry.owner != Some(core) {
+        } else if let Some(owner) = entry.owner.filter(|&owner| owner != core) {
             // Read of a modified line: owner downgrades to Shared; the
             // dirty data is forwarded on chip and, per MSI, written back.
             // The owner's copy stays valid but clean, so a later eviction
             // does not write the same data back a second time.
-            let owner = entry.owner.take().expect("checked above");
+            entry.owner = None;
             if let Some(bytes) = self.caches[owner as usize].clean(line * self.line_size) {
                 self.traffic.record_writeback(bytes);
             }

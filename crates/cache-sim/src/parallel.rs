@@ -581,9 +581,10 @@ trait BatchStream {
     fn next_batch(&mut self) -> Option<&[MemoryAccess]>;
 }
 
-/// Sequential batch stream: fills one reusable buffer straight from the
-/// trace source — the 1-bank case allocates a single chunk buffer for
-/// the whole run.
+/// Sequential batch stream: each batch is what
+/// [`TraceSource::next_accesses`] hands over, so a recorded trace is read
+/// in place and any other source fills one reusable chunk buffer,
+/// allocated on first use, for the whole run.
 struct ChunkedTraceStream<'a, T> {
     source: &'a mut T,
     remaining: usize,
@@ -595,14 +596,21 @@ impl<T: TraceSource> BatchStream for ChunkedTraceStream<'_, T> {
         if self.remaining == 0 {
             return None;
         }
-        let len = CHUNK_LEN.min(self.remaining);
-        self.remaining -= len;
-        self.buf.clear();
-        for _ in 0..len {
-            self.buf.push(self.source.next_access());
-        }
-        Some(&self.buf)
+        let batch = next_chunk(self.source, self.remaining, &mut self.buf);
+        self.remaining -= batch.len();
+        Some(batch)
     }
+}
+
+/// The next chunk of at most [`CHUNK_LEN`] of the `remaining` accesses.
+fn next_chunk<'a, T: TraceSource>(
+    source: &'a mut T,
+    remaining: usize,
+    buf: &'a mut Vec<MemoryAccess>,
+) -> &'a [MemoryAccess] {
+    let chunk = source.next_accesses(CHUNK_LEN.min(remaining), buf);
+    assert!(!chunk.is_empty(), "a trace source returned no accesses");
+    chunk
 }
 
 /// One bank's pre-filtered batches of the trace stream. Drained batch
@@ -654,7 +662,7 @@ where
         return vec![simulate(&mut ChunkedTraceStream {
             source: trace,
             remaining: accesses,
-            buf: Vec::with_capacity(CHUNK_LEN.min(accesses)),
+            buf: Vec::new(),
         })];
     }
     thread::scope(|scope| {
@@ -677,15 +685,11 @@ where
         }
         drop(recycle_tx);
         let batch_capacity = CHUNK_LEN / banks + CHUNK_LEN / (banks * 4);
-        let mut chunk: Vec<MemoryAccess> = Vec::with_capacity(CHUNK_LEN);
+        let mut chunk_buf: Vec<MemoryAccess> = Vec::new();
         let mut remaining = accesses;
         while remaining > 0 {
-            let len = CHUNK_LEN.min(remaining);
-            remaining -= len;
-            chunk.clear();
-            for _ in 0..len {
-                chunk.push(trace.next_access());
-            }
+            let chunk = next_chunk(trace, remaining, &mut chunk_buf);
+            remaining -= chunk.len();
             let mut batches: Vec<Vec<MemoryAccess>> = (0..banks)
                 .map(|_| match recycle_rx.try_recv() {
                     Ok(mut recycled) => {
@@ -695,7 +699,7 @@ where
                     Err(_) => Vec::with_capacity(batch_capacity),
                 })
                 .collect();
-            for &a in &chunk {
+            for &a in chunk {
                 let bank = ((a.address() / granularity) % banks as u64) as usize;
                 batches[bank].push(a);
             }

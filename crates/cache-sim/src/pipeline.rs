@@ -48,7 +48,7 @@ use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
 use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, ZeroRle};
 use bandwall_numerics::Rng;
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
-use std::collections::HashMap;
+use bandwall_trace::LineMap;
 
 /// How a miss fills a line: granularity fetched, bytes occupied, and —
 /// for compressed policies — where payload values come from.
@@ -670,8 +670,9 @@ struct SlottedSets {
 }
 
 impl SlottedSets {
-    /// First way in `set` holding `tag`, scanning ways in order — the same
-    /// first-match semantics as the former per-way `Option` scan.
+    /// First way in `set` holding `tag`: the lowest set bit of a mask
+    /// that compares every way, masked by occupancy. The scan has no
+    /// data-dependent exit, which a hit at a random way would mispredict.
     ///
     /// Inline: the generic engine is instantiated in the crates that use
     /// it, where a non-inline helper would be an out-of-line call on
@@ -679,9 +680,12 @@ impl SlottedSets {
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc;
-        let occ = self.occupied[set];
-        let tags = &self.tags[base..base + self.assoc];
-        (0..self.assoc).find(|&w| occ & (1 << w) != 0 && tags[w] == tag)
+        let mut matches = 0u64;
+        for (way, &resident) in self.tags[base..base + self.assoc].iter().enumerate() {
+            matches |= u64::from(resident == tag) << way;
+        }
+        matches &= self.occupied[set];
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
     }
 }
 
@@ -727,7 +731,7 @@ const MEMO_BITS: u32 = 4;
 struct FirstTouch {
     pages: Vec<[u64; PAGE_WORDS]>,
     /// Page number → index into `pages`.
-    page_map: HashMap<u64, usize>,
+    page_map: LineMap<u64, usize>,
     /// `(page number, index)` per slot, the slot chosen by a
     /// multiplicative hash of the page number. Page numbers are at most
     /// `u64::MAX >> PAGE_SHIFT`, so `u64::MAX` marks an empty slot.
@@ -738,7 +742,7 @@ impl FirstTouch {
     fn new() -> Self {
         FirstTouch {
             pages: Vec::new(),
-            page_map: HashMap::new(),
+            page_map: LineMap::default(),
             memo: [(u64::MAX, 0); 1 << MEMO_BITS],
         }
     }
@@ -787,7 +791,7 @@ enum Storage {
 #[derive(Debug, Clone, Default)]
 struct Footprints {
     /// Line address → sectors used during its last residency.
-    table: HashMap<u64, u64>,
+    table: LineMap<u64, u64>,
     /// Sectors fetched on a prediction rather than on demand.
     prefetched_sectors: u64,
     /// Prefetched sectors that left the cache without being accessed.
@@ -905,7 +909,7 @@ pub struct PipelineCache<F: Fill = FullLineFill> {
     /// tag's compressed size never changes; caller-supplied payloads
     /// (`access_with_data`) bypass this memo entirely. See DESIGN.md,
     /// "Size-cache invalidation contract".
-    size_memo: HashMap<u64, u64>,
+    size_memo: LineMap<u64, u64>,
     /// One replacement RNG per set, derived from `(policy seed, set
     /// index)`; empty unless the policy is [`ReplacementPolicy::Random`].
     /// Per-set streams keep victim choices local to the set, which the
@@ -977,7 +981,7 @@ impl<F: Fill> PipelineCache<F> {
             seen_lines: FirstTouch::new(),
             tick: 0,
             scratch: Vec::new(),
-            size_memo: HashMap::new(),
+            size_memo: LineMap::default(),
             set_rngs: if config.policy() == ReplacementPolicy::Random {
                 (0..config.sets())
                     .map(|set| Rng::seed_from_stream(config.policy_seed(), set))
@@ -1686,7 +1690,7 @@ fn generated_stored_size<F: Fill>(
     line_size: u64,
     tag: u64,
     scratch: &mut Vec<u8>,
-    memo: &mut HashMap<u64, u64>,
+    memo: &mut LineMap<u64, u64>,
 ) -> u64 {
     if let Some(&size) = memo.get(&tag) {
         return size;

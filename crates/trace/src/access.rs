@@ -112,6 +112,44 @@ pub trait TraceSource {
     /// Human-readable workload name for reports.
     fn name(&self) -> &str;
 
+    /// The next accesses of the stream as one slice: at least one and at
+    /// most `max` of them (none when `max` is 0). The stream advances
+    /// past exactly the accesses returned.
+    ///
+    /// The provided method copies: it clears `buf`, fills it with `max`
+    /// calls to [`TraceSource::next_access`] and returns it. A source that
+    /// holds its stream in memory may lend a slice of its own storage
+    /// instead, shorter than `max` where that storage ends, and leave
+    /// `buf` untouched; [`ReplayTrace`](crate::ReplayTrace) does. Bulk
+    /// consumers, such as the simulators' run loop, read a recorded trace
+    /// in place this way.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bandwall_trace::{ReplayTrace, StackDistanceTrace, TraceSource};
+    ///
+    /// let trace = || StackDistanceTrace::builder(0.5).seed(1).build();
+    /// let mut buf = Vec::new();
+    /// let copied = trace().next_accesses(3, &mut buf).to_vec();
+    /// assert_eq!(copied.len(), 3);
+    ///
+    /// let mut replay = ReplayTrace::record(&mut trace(), 5);
+    /// assert_eq!(replay.next_accesses(3, &mut buf), &copied[..]);
+    /// // A lent slice stops where the recording wraps.
+    /// assert_eq!(replay.next_accesses(3, &mut buf).len(), 2);
+    /// assert_eq!(replay.next_accesses(3, &mut buf), &copied[..]);
+    /// ```
+    fn next_accesses<'a>(
+        &'a mut self,
+        max: usize,
+        buf: &'a mut Vec<MemoryAccess>,
+    ) -> &'a [MemoryAccess] {
+        buf.clear();
+        buf.extend((0..max).map(|_| self.next_access()));
+        buf
+    }
+
     /// Borrowing iterator over the (infinite) stream; combine with
     /// [`Iterator::take`].
     ///
@@ -153,6 +191,14 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
 
     fn name(&self) -> &str {
         (**self).name()
+    }
+
+    fn next_accesses<'a>(
+        &'a mut self,
+        max: usize,
+        buf: &'a mut Vec<MemoryAccess>,
+    ) -> &'a [MemoryAccess] {
+        (**self).next_accesses(max, buf)
     }
 }
 

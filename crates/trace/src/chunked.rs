@@ -91,6 +91,20 @@ impl TraceSource for ReplayTrace {
     fn name(&self) -> &str {
         "replay"
     }
+
+    /// Lends the recording in place: up to `max` accesses from the
+    /// cursor, stopping at the end of the recording, where the cursor
+    /// wraps to the start.
+    fn next_accesses<'a>(
+        &'a mut self,
+        max: usize,
+        _buf: &'a mut Vec<MemoryAccess>,
+    ) -> &'a [MemoryAccess] {
+        let start = self.pos;
+        let end = self.accesses.len().min(start + max);
+        self.pos = if end == self.accesses.len() { 0 } else { end };
+        &self.accesses[start..end]
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +133,25 @@ mod tests {
         replay.rewind();
         assert_eq!(replay.next_access(), first[0]);
         assert_eq!(replay.name(), "replay");
+    }
+
+    #[test]
+    fn lent_slices_stop_at_the_wrap_and_match_next_access() {
+        let mut gen = StackDistanceTrace::builder(0.4).seed(9).build();
+        let mut replay = ReplayTrace::record(&mut gen, 10);
+        let mut copy = replay.clone();
+        let mut buf = Vec::new();
+        let mut lent = Vec::new();
+        for max in [0, 3, 4, 5, 10, 25, 1] {
+            let slice = replay.next_accesses(max, &mut buf);
+            assert!(slice.len() <= max && (max == 0 || !slice.is_empty()));
+            lent.extend_from_slice(slice);
+        }
+        assert!(buf.is_empty(), "a replay never copies into the buffer");
+        let drawn: Vec<_> = copy.iter().take(lent.len()).collect();
+        assert_eq!(lent, drawn);
+        // The two cursors agree too.
+        assert_eq!(replay.next_access(), copy.next_access());
     }
 
     #[test]

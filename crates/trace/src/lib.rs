@@ -25,6 +25,9 @@
 //!   and replay it after a [`ReplayTrace::rewind`], so several caches (or
 //!   timed benchmark iterations) see the same accesses without
 //!   regenerating them.
+//! * [`LineMap`] / [`LineSet`] — std maps over [`LineHasher`], the one
+//!   cheap hasher every line-, tag- or page-keyed map in the simulators
+//!   uses.
 //!
 //! Everything is seeded and reproducible: the same seed always produces
 //! the same trace.
@@ -55,6 +58,7 @@
 
 mod access;
 mod chunked;
+mod line_hash;
 mod mix;
 mod parsec_like;
 mod pointer_chase;
@@ -68,6 +72,7 @@ mod zipf;
 
 pub use access::{AccessKind, MemoryAccess, TraceIter, TraceSource};
 pub use chunked::ReplayTrace;
+pub use line_hash::{LineHasher, LineMap, LineSet};
 pub use mix::{MixTrace, MixTraceBuilder};
 pub use parsec_like::{ParsecLikeTrace, ParsecLikeTraceBuilder};
 pub use pointer_chase::{PointerChaseTrace, PointerChaseTraceBuilder};

@@ -22,8 +22,8 @@
 //! an access misses at, so it walks an LRU list with one marker per
 //! capacity instead: one hash lookup plus one step per capacity missed.
 
+use crate::line_hash::LineMap;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Fenwick tree over the access timeline supporting point updates and
 /// prefix sums. The timeline grows without bound, so the tree keeps the
@@ -92,7 +92,7 @@ impl Fenwick {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistanceProfiler {
-    last_time: HashMap<u64, usize>,
+    last_time: LineMap<u64, usize>,
     presence: Fenwick,
     time: usize,
     distinct: i64,
@@ -173,7 +173,7 @@ pub struct MissRateProbe {
     /// The distinct capacities, ascending.
     sorted: Vec<usize>,
     /// The LRU list node of every line seen.
-    nodes: HashMap<u64, u32>,
+    nodes: LineMap<u64, u32>,
     /// Per node: its neighbour toward the front, toward the tail, and
     /// its tier. A tier never exceeds its node's depth, so it fits `u32`
     /// like the node ids, whatever the number of capacities.
@@ -221,7 +221,7 @@ impl MissRateProbe {
             slot,
             tier_hits: vec![0; sorted.len() + 1],
             sorted,
-            nodes: HashMap::new(),
+            nodes: LineMap::default(),
             prev: Vec::new(),
             next: Vec::new(),
             tier: Vec::new(),
