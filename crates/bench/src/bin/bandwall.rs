@@ -1343,7 +1343,7 @@ loadgen --floor id=1e309|--floor rate must be positive";
          --floor experiment_fig01_power_law=1.3",
         "bench --quick --format json --snapshot bench-snapshots \
          --floor compressed_sim_seq=4000000 --floor fig14_trace_gen=14000000 \
-         --floor experiment_ablate_replacement=1.5 --floor experiment_fig01_power_law=1.3 \
+         --floor experiment_ablate_replacement=1.5 --floor experiment_fig01_power_law=3.8 \
          --floor model_solve_combination_16x=120000 --floor lru_sim_seq=24500000 \
          --floor experiment_coherence_study=4.2",
         "bench --snapshot .",

@@ -10,9 +10,12 @@
 //! construction: by Mattson's stack-distance identity an access misses
 //! a cache of `C` lines exactly when its depth is at least `C`, and the
 //! curve is the share of drawn depths `>= C`, with no cache or stack
-//! simulated. Only the SPEC-like half, whose discrete working sets have
-//! no such identity, runs through an exact LRU probe (`MissRateProbe`,
-//! one capacity marker per cache size).
+//! simulated. The depth does not grow with the draw's uniform key, so
+//! each draw is counted by comparing its key with one threshold key per
+//! cache size, not by evaluating its depth. Only the SPEC-like half,
+//! whose discrete working sets have no such identity, runs through an
+//! exact LRU probe (`MissRateProbe`, one capacity marker per cache
+//! size).
 //!
 //! Paper reference: commercial α averages 0.48 (min 0.36 = OLTP-2, max
 //! 0.62 = OLTP-4); the SPEC 2006 aggregate fits α = 0.25; individual SPEC
@@ -34,18 +37,18 @@ fn capacities() -> Vec<usize> {
 }
 
 /// Exact measurement for stack-distance traces: the share of `MEASURE`
-/// drawn depths at or beyond each capacity. These are the miss counts a
-/// probe warmed with the generator's full footprint measures over the
-/// same accesses (the trace crate's `depth_counts_equal_the_warmed_probe`
-/// holds the two equal), so there is no compulsory-miss floor.
+/// drawn depths at or beyond each capacity, counted against each
+/// capacity's threshold key. These are the miss counts a probe warmed
+/// with the generator's full footprint measures over the same accesses
+/// (the trace crate's `depth_counts_equal_the_warmed_probe` and
+/// `threshold_counts_equal_depth_counts` hold the three equal), so there
+/// is no compulsory-miss floor.
 fn measure_commercial(trace: StackDistanceTrace, caps: &[usize]) -> Vec<f64> {
-    let mut misses = vec![0u64; caps.len()];
-    for depth in trace.into_depths().take(MEASURE) {
-        for (miss, &cap) in misses.iter_mut().zip(caps) {
-            *miss += u64::from(depth >= cap);
-        }
-    }
-    misses.iter().map(|&m| m as f64 / MEASURE as f64).collect()
+    trace
+        .count_depths_at_least(caps, MEASURE)
+        .iter()
+        .map(|&m| m as f64 / MEASURE as f64)
+        .collect()
 }
 
 /// Burn-in measurement for the discrete-working-set traces.

@@ -10,9 +10,9 @@
 //! * N run-to-completion **workers** all drain that queue, enforce
 //!   per-request deadlines, and contain handler panics; a kept-alive
 //!   connection that sits idle while another connection waits gives
-//!   its worker up, and a `/v1/batch` runs inline unless its solve
-//!   count pays for a helper thread, the calling worker taking a share
-//!   of any fan-out;
+//!   its worker up and goes back on the queue, and a `/v1/batch` runs
+//!   inline unless its solve count pays for a helper thread, the
+//!   calling worker taking a share of any fan-out;
 //! * a **supervisor** respawns workers that die (chaos or otherwise)
 //!   with doubling backoff;
 //! * a memo **cache** ([`cache`]) keyed by canonical problem encodings
@@ -44,7 +44,7 @@ use crate::serve::http::Response;
 use crate::serve::queue::{BoundedQueue, PushError};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -145,6 +145,10 @@ pub struct StatsSnapshot {
 pub(crate) struct Conn {
     pub stream: TcpStream,
     pub accepted_at: Instant,
+    /// For a kept-alive connection that gave its worker up while idle,
+    /// when its last reply went out (its idle limit runs from there);
+    /// `None` for a connection fresh from `accept()`.
+    pub idle_since: Option<Instant>,
 }
 
 /// State shared by the acceptor, workers, and supervisor.
@@ -153,6 +157,10 @@ pub(crate) struct ServeContext {
     pub config: ServeConfig,
     /// Admitted connections awaiting a worker.
     pub queue: BoundedQueue<Conn>,
+    /// How many of the queued connections are fresh from `accept()`,
+    /// not requeued idle ones: a worker passes a requeued idle
+    /// connection straight on while one waits.
+    pub fresh_waiting: AtomicUsize,
     pub cache: SolveCache,
     pub stats: ServeStats,
     shutdown: AtomicBool,
@@ -230,6 +238,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let ctx = Arc::new(ServeContext {
             queue: BoundedQueue::new(config.queue_capacity),
+            fresh_waiting: AtomicUsize::new(0),
             cache: SolveCache::new(config.cache_capacity),
             config,
             stats: ServeStats::default(),
@@ -321,10 +330,15 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServeContext>) {
                 let conn = Conn {
                     stream,
                     accepted_at: Instant::now(),
+                    idle_since: None,
                 };
+                // Counted before the push, so the worker that pops it
+                // never takes the count below zero.
+                ctx.fresh_waiting.fetch_add(1, Ordering::Relaxed);
                 if let Err(PushError::Full(conn) | PushError::Closed(conn)) =
                     ctx.queue.try_push(conn)
                 {
+                    ctx.fresh_waiting.fetch_sub(1, Ordering::Relaxed);
                     ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
                     shed(conn.stream);
                 }

@@ -11,10 +11,16 @@
 //!
 //! A kept-alive connection holds its worker between requests. When it
 //! has sent nothing for a whole idle poll while another connection
-//! waits in the queue, the worker closes it (HTTP/1.1 lets a server
-//! close an idle persistent connection) and takes the waiting one, so
-//! idle clients cannot starve new ones; bytes already received are
-//! always served first.
+//! waits in the queue, the worker puts it back on the queue, behind the
+//! waiting one, and takes that one, so idle clients cannot starve new
+//! ones and a request sent just then waits in the socket for the next
+//! worker instead of being lost. A worker that pops such a requeued
+//! connection while a fresh one waits looks at it without blocking and
+//! passes it straight on if it is still quiet, so the idle connections
+//! queued ahead of a new client do not cost it a poll each. It closes
+//! only when the queue refuses it, on drain, when the peer closes, or
+//! once it has been idle for the read timeout since its last reply;
+//! bytes already received are always served first.
 //!
 //! Requests dispatch through the versioned route table in
 //! [`crate::serve::api`]; each worker reuses one response buffer across
@@ -83,44 +89,95 @@ pub(crate) fn worker_loop(ctx: Arc<ServeContext>, fault_stream: u64) {
     }
 }
 
+/// What a kept-alive connection does after its last reply.
+enum Idle {
+    /// A request has begun to arrive (or already sits in the reader).
+    Serve,
+    /// Give the worker to a waiting connection and requeue this one.
+    Yield,
+    /// Drain, the idle limit, or the peer is gone.
+    Close,
+}
+
 /// Waits for the next request's first byte without consuming it,
-/// polling the drain flag and the queue. Returns `false` when the
-/// connection should close (drain, idle timeout, a whole idle poll with
-/// another connection waiting, peer gone).
-fn await_next_request(ctx: &ServeContext, stream: &TcpStream, buffered: bool) -> bool {
+/// polling the drain flag and the queue, on a connection whose last
+/// reply went out at `idle_since`. A `requeued` connection has already
+/// sat idle for a whole poll: while a fresh connection waits, it is
+/// looked at once without blocking and passed on unless it has sent
+/// something, so each idle connection queued ahead of a new client
+/// costs that client a `peek`, not a poll.
+fn await_next_request(
+    ctx: &ServeContext,
+    stream: &TcpStream,
+    buffered: bool,
+    idle_since: Instant,
+    requeued: bool,
+) -> Idle {
     if buffered {
         // Pipelined bytes already sit in the reader; serve them even
         // mid-drain (the request is in flight by any fair definition).
-        return true;
+        return Idle::Serve;
     }
     let mut probe = [0u8; 1];
-    let idle_limit = ctx.config.read_timeout;
-    let started = Instant::now();
+    if requeued && ctx.fresh_waiting.load(Ordering::Relaxed) > 0 && !ctx.is_draining() {
+        if stream.set_nonblocking(true).is_err() {
+            return Idle::Close;
+        }
+        let ready = stream.peek(&mut probe);
+        if stream.set_nonblocking(false).is_err() {
+            return Idle::Close;
+        }
+        match ready {
+            Ok(0) => return Idle::Close,
+            Ok(_) => return serve_next(ctx, stream),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                return if idle_since.elapsed() >= ctx.config.read_timeout {
+                    Idle::Close
+                } else {
+                    Idle::Yield
+                };
+            }
+            Err(_) => return Idle::Close,
+        }
+    }
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return false;
+        return Idle::Close;
     }
     loop {
         if ctx.is_draining() {
-            return false;
+            return Idle::Close;
         }
         match stream.peek(&mut probe) {
-            Ok(0) => return false,
+            Ok(0) => return Idle::Close,
             Ok(_) => break,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if started.elapsed() >= idle_limit || !ctx.queue.is_empty() {
-                    return false;
+                if idle_since.elapsed() >= ctx.config.read_timeout {
+                    return Idle::Close;
+                }
+                if !ctx.queue.is_empty() {
+                    return Idle::Yield;
                 }
             }
-            Err(_) => return false,
+            Err(_) => return Idle::Close,
         }
     }
-    stream
-        .set_read_timeout(Some(ctx.config.read_timeout))
-        .is_ok()
+    serve_next(ctx, stream)
+}
+
+/// A request has begun to arrive: restores the read timeout for it.
+fn serve_next(ctx: &ServeContext, stream: &TcpStream) -> Idle {
+    match stream.set_read_timeout(Some(ctx.config.read_timeout)) {
+        Ok(()) => Idle::Serve,
+        Err(_) => Idle::Close,
+    }
 }
 
 fn handle_connection(ctx: &ServeContext, mut injector: Option<&mut Injector>, conn: Conn) {
-    ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
+    // A requeued connection was counted when it was accepted.
+    if conn.idle_since.is_none() {
+        ctx.fresh_waiting.fetch_sub(1, Ordering::Relaxed);
+        ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
+    }
     let stream = conn.stream;
     if stream
         .set_write_timeout(Some(ctx.config.read_timeout))
@@ -137,10 +194,29 @@ fn handle_connection(ctx: &ServeContext, mut injector: Option<&mut Injector>, co
     let mut reader = BufReader::new(clone);
     let mut writer = stream;
     let mut response_buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut first = true;
+    let mut first = conn.idle_since.is_none();
+    let mut requeued = conn.idle_since.is_some();
+    let mut idle_since = conn.idle_since.unwrap_or(conn.accepted_at);
     loop {
-        if !first && !await_next_request(ctx, &writer, !reader.buffer().is_empty()) {
-            return;
+        if !first {
+            let buffered = !reader.buffer().is_empty();
+            let next = await_next_request(ctx, &writer, buffered, idle_since, requeued);
+            requeued = false;
+            match next {
+                Idle::Serve => {}
+                Idle::Close => return,
+                Idle::Yield => {
+                    // The reader holds no bytes (they would have been
+                    // served), so the stream alone carries the
+                    // connection. A refused push drops, and so closes, it.
+                    let _ = ctx.queue.try_push(Conn {
+                        stream: writer,
+                        accepted_at: conn.accepted_at,
+                        idle_since: Some(idle_since),
+                    });
+                    return;
+                }
+            }
         }
         // The deadline origin for the first request is the accept time
         // (queue wait counts against it); later keep-alive requests
@@ -174,6 +250,7 @@ fn handle_connection(ctx: &ServeContext, mut injector: Option<&mut Injector>, co
         {
             return;
         }
+        idle_since = Instant::now();
     }
 }
 

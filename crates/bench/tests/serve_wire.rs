@@ -212,24 +212,99 @@ fn idle_keep_alive_connections_give_up_their_workers() {
         waited < Duration::from_millis(250),
         "a new client waited {waited:?} behind idle keep-alive connections"
     );
-    // An idle client keeps working: on its old connection, or after a
-    // clean close on a new one.
+    // An idle client gave its worker up without losing its connection:
+    // it is answered on the old one.
     for client in &mut idle {
-        let reply = match client.request("GET", "/healthz", None) {
-            Ok(reply) => reply,
-            Err(error) => {
-                assert!(
-                    error.contains("closed the connection"),
-                    "an idle connection ended without a clean close: {error}"
-                );
-                *client = Client::connect(&addr).unwrap();
-                client.request("GET", "/healthz", None).unwrap()
-            }
-        };
+        let reply = client
+            .request("GET", "/healthz", None)
+            .expect("an idle connection is requeued, not closed");
         assert_eq!(reply.status, 200, "{}", reply.body);
     }
     drop(idle);
     let stats = stop(server);
+    assert_eq!(
+        stats.connections, 3,
+        "each connection counts once: {stats:?}"
+    );
+    assert_eq!(stats.internal, 0, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+}
+
+#[test]
+fn a_request_sent_on_an_idle_kept_alive_connection_is_served() {
+    // One worker. Client A's kept-alive connection goes quiet, client B
+    // connects and is served, and A then sends on the same socket: the
+    // worker gave A up for B, but the request must be answered there,
+    // not lost to a close.
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..test_config()
+    });
+    let mut a = Client::connect(&addr).unwrap();
+    assert_eq!(a.request("GET", "/healthz", None).unwrap().status, 200);
+    let b = Client::connect(&addr)
+        .unwrap()
+        .request_once("POST", "/v1/solve", Some("{\"total_ceas\":32}"))
+        .unwrap();
+    assert_eq!(b.status, 200, "{}", b.body);
+    let again = a
+        .request("POST", "/v1/solve", Some("{\"total_ceas\":64}"))
+        .expect("A's connection is still open");
+    assert_eq!(again.status, 200, "{}", again.body);
+    drop(a);
+    let stats = stop(server);
+    assert_eq!(
+        stats.connections, 2,
+        "each connection counts once: {stats:?}"
+    );
+    assert_eq!(stats.served_ok, 3, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert_eq!(stats.internal, 0, "{stats:?}");
+}
+
+#[test]
+fn idle_connections_ahead_in_the_queue_do_not_delay_a_new_client() {
+    // One worker and six kept-alive connections gone quiet, five of them
+    // requeued: a new client behind them waits about one idle poll, not
+    // one poll per idle connection ahead of it, and every idle client is
+    // still answered on its old connection.
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        queue_capacity: 16,
+        read_timeout: Duration::from_secs(10),
+        ..test_config()
+    });
+    let mut idle: Vec<Client> = (0..6)
+        .map(|_| {
+            let mut client = Client::connect(&addr).unwrap();
+            assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+            client
+        })
+        .collect();
+    let started = Instant::now();
+    let fresh = Client::connect(&addr)
+        .unwrap()
+        .request_once("POST", "/v1/solve", Some("{\"total_ceas\":32}"))
+        .unwrap();
+    let waited = started.elapsed();
+    assert_eq!(fresh.status, 200, "{}", fresh.body);
+    assert!(
+        waited < Duration::from_millis(200),
+        "a new client waited {waited:?} behind six idle keep-alive connections"
+    );
+    for client in &mut idle {
+        let reply = client
+            .request("GET", "/healthz", None)
+            .expect("an idle connection is requeued, not closed");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+    drop(idle);
+    let stats = stop(server);
+    assert_eq!(
+        stats.connections, 7,
+        "each connection counts once: {stats:?}"
+    );
     assert_eq!(stats.internal, 0, "{stats:?}");
     assert_eq!(stats.shed, 0, "{stats:?}");
 }

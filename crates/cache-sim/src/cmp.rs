@@ -212,6 +212,7 @@ impl<F2: Fill> CmpSystem<F2> {
     /// # Panics
     ///
     /// Panics if the access's thread id is not a valid core index.
+    #[inline]
     pub fn access(&mut self, access: MemoryAccess) {
         let core = access.thread();
         assert!(

@@ -191,6 +191,7 @@ impl<F: Fill> CoherentCmp<F> {
     /// # Panics
     ///
     /// Panics if the access's thread id is not a valid core index.
+    #[inline]
     pub fn access(&mut self, access: MemoryAccess) {
         let core = access.thread();
         assert!(

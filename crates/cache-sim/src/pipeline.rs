@@ -48,7 +48,7 @@ use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
 use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, ZeroRle};
 use bandwall_numerics::Rng;
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
-use bandwall_trace::LineMap;
+use bandwall_trace::{LineMap, PagedLineTable, PAGE_LINES};
 
 /// How a miss fills a line: granularity fetched, bytes occupied, and —
 /// for compressed policies — where payload values come from.
@@ -502,9 +502,6 @@ pub(crate) fn overfetch_fraction(prefetched_sectors: u64, overfetched_sectors: u
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     line_address: u64,
-    dirty: bool,
-    used_words: u32,
-    sharers: u32,
     writeback_bytes: u64,
 }
 
@@ -516,17 +513,7 @@ impl EvictedLine {
 
     /// Whether the line was dirty (requires a write-back).
     pub fn dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Number of distinct words referenced during residency.
-    pub fn used_words(&self) -> u32 {
-        self.used_words
-    }
-
-    /// Number of distinct cores that referenced the line.
-    pub fn sharers(&self) -> u32 {
-        self.sharers
+        self.writeback_bytes != 0
     }
 
     /// Bytes a write-back of this line puts on the memory link: the whole
@@ -643,8 +630,10 @@ struct LineMeta {
     /// Bitmask of sectors the footprint predictor fetched that have not
     /// been accessed yet (always zero without prediction).
     prefetched: u64,
-    last_used: u64,
-    inserted: u64,
+    /// Replacement stamp: the tick of the line's last access under LRU,
+    /// of its fill under FIFO (a hit leaves it alone); Random and
+    /// tree-PLRU never read it.
+    stamp: u64,
     /// Bitmask of 8-byte words referenced while resident.
     word_mask: u64,
     /// Bitmask of cores (clamped to 64) that referenced the line.
@@ -712,38 +701,22 @@ impl BudgetedSet {
     }
 }
 
-/// `log2` of the lines one [`FirstTouch`] page covers.
-const PAGE_SHIFT: u32 = 12;
-/// `u64` words per page: 4096 bits, 512 bytes.
-const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 6);
-/// `log2` of the memo's slot count.
-const MEMO_BITS: u32 = 4;
-
 /// The exact set of line tags a cache has ever missed on — the
 /// compulsory-miss classifier.
 ///
-/// One bit per line, in pages of 4096 lines (512 bytes) found through a
-/// page map. The classifier runs on every miss, which for a small L1 is
-/// nearly every access; simulated working sets cluster in a few pages,
-/// so a direct-mapped memo of recently hit pages answers most lookups
-/// without hashing.
+/// One bit per line, in 512-byte bitmap pages of a [`PagedLineTable`].
+/// The classifier runs on every miss, which for a small L1 is nearly
+/// every access; simulated working sets cluster in a few pages, which
+/// the table's memo of recent pages finds without hashing.
 #[derive(Debug, Clone)]
 struct FirstTouch {
-    pages: Vec<[u64; PAGE_WORDS]>,
-    /// Page number → index into `pages`.
-    page_map: LineMap<u64, usize>,
-    /// `(page number, index)` per slot, the slot chosen by a
-    /// multiplicative hash of the page number. Page numbers are at most
-    /// `u64::MAX >> PAGE_SHIFT`, so `u64::MAX` marks an empty slot.
-    memo: [(u64, usize); 1 << MEMO_BITS],
+    seen: PagedLineTable<[u64; PAGE_LINES / 64]>,
 }
 
 impl FirstTouch {
     fn new() -> Self {
         FirstTouch {
-            pages: Vec::new(),
-            page_map: LineMap::default(),
-            memo: [(u64::MAX, 0); 1 << MEMO_BITS],
+            seen: PagedLineTable::new([0; PAGE_LINES / 64]),
         }
     }
 
@@ -751,21 +724,8 @@ impl FirstTouch {
     /// `HashSet::insert` contract.
     #[inline]
     fn insert(&mut self, tag: u64) -> bool {
-        let page = tag >> PAGE_SHIFT;
-        let slot = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize;
-        let index = if self.memo[slot].0 == page {
-            self.memo[slot].1
-        } else {
-            let fresh = self.pages.len();
-            let index = *self.page_map.entry(page).or_insert(fresh);
-            if index == fresh {
-                self.pages.push([0; PAGE_WORDS]);
-            }
-            self.memo[slot] = (page, index);
-            index
-        };
-        let line = tag & ((1 << PAGE_SHIFT) - 1);
-        let word = &mut self.pages[index][(line >> 6) as usize];
+        let (page, line) = self.seen.page_mut(tag);
+        let word = &mut page[line >> 6];
         let bit = 1u64 << (line & 63);
         let first = *word & bit == 0;
         *word |= bit;
@@ -824,21 +784,20 @@ impl ObserverStack<'_> {
 
     /// Records one line leaving the cache — the single copy of the
     /// eviction and write-back bookkeeping that used to be duplicated
-    /// across the five simulator variants.
-    fn retire(&mut self, tag: u64, old: &LineMeta, sector_size: u64, evictions: &mut Evictions) {
+    /// across the five simulator variants — and returns it. The word and
+    /// sharer counts are taken only for the statistics that want them.
+    #[inline]
+    fn retire(&mut self, tag: u64, old: &LineMeta, sector_size: u64) -> EvictedLine {
         let ev = EvictedLine {
             line_address: tag,
-            dirty: old.dirty_sectors != 0,
-            used_words: old.word_mask.count_ones(),
-            sharers: old.sharers.count_ones(),
             writeback_bytes: u64::from(old.dirty_sectors.count_ones()) * sector_size,
         };
-        self.stats.record_eviction(ev.dirty);
+        self.stats.record_eviction(ev.dirty());
         if let Some(usage) = self.word_usage.as_deref_mut() {
-            usage.record_eviction(ev.used_words);
+            usage.record_eviction(old.word_mask.count_ones());
         }
         if let Some(sharing) = self.sharing.as_deref_mut() {
-            sharing.record_eviction(ev.sharers);
+            sharing.record_eviction(old.sharers.count_ones());
         }
         if let Some(footprints) = self.footprints.as_deref_mut() {
             footprints.overfetched_sectors += u64::from(old.prefetched.count_ones());
@@ -846,10 +805,10 @@ impl ObserverStack<'_> {
                 .table
                 .insert(tag, old.valid_sectors & !old.prefetched);
         }
-        if ev.dirty {
+        if ev.dirty() {
             self.traffic.record_writeback(ev.writeback_bytes);
         }
-        evictions.push(ev);
+        ev
     }
 }
 
@@ -1175,6 +1134,7 @@ impl<F: Fill> PipelineCache<F> {
     }
 
     /// Accesses `address` from `core` (the core id feeds sharer tracking).
+    #[inline]
     pub fn access_from(&mut self, core: u16, address: u64, is_write: bool) -> AccessOutcome {
         self.access_inner(core, address, is_write, None)
     }
@@ -1194,6 +1154,10 @@ impl<F: Fill> PipelineCache<F> {
         self.access_inner(0, address, is_write, Some(data))
     }
 
+    /// One access. The resident-line path, which most accesses take, is
+    /// inline and touches only the line's record and the hit counter;
+    /// a line miss and every budgeted access go out of line.
+    #[inline(always)]
     fn access_inner(
         &mut self,
         core: u16,
@@ -1202,6 +1166,167 @@ impl<F: Fill> PipelineCache<F> {
         data: Option<&[u8]>,
     ) -> AccessOutcome {
         self.tick += 1;
+        let tag = address >> self.line_shift;
+        let set_idx = (tag & self.set_mask) as usize;
+        let Storage::Slotted(sets) = &mut self.storage else {
+            return self.access_budgeted(core, address, is_write, data);
+        };
+        let Some(way) = sets.find_way(set_idx, tag) else {
+            return self.fill_slotted(core, address, is_write);
+        };
+        let offset = address & self.line_mask;
+        let sector_bit = 1u64 << (offset >> self.sector_shift);
+        let policy = self.config.policy();
+        let assoc = sets.assoc;
+        let meta = &mut sets.meta[set_idx * assoc + way];
+        if policy == ReplacementPolicy::Lru {
+            meta.stamp = self.tick;
+        }
+        meta.word_mask |= 1u64 << (offset >> 3).min(63);
+        meta.sharers |= 1u64 << u64::from(core).min(63);
+        // Constant per fill type, so the engines of non-predicting fills
+        // compile without the footprint predictor's per-access work.
+        if self.fill.predicts_footprints() {
+            meta.prefetched &= !sector_bit;
+        }
+        let sector_present = meta.valid_sectors & sector_bit != 0;
+        meta.valid_sectors |= sector_bit;
+        if is_write {
+            meta.dirty_sectors |= sector_bit;
+        }
+        if policy == ReplacementPolicy::TreePlru {
+            plru_touch(&mut sets.plru_bits[set_idx], assoc, way);
+        }
+        if sector_present {
+            self.stats.record_hit();
+            return AccessOutcome {
+                hit: true,
+                fetched_bytes: 0,
+                evictions: Evictions::None,
+            };
+        }
+        self.sector_miss(tag)
+    }
+
+    /// Line resident, sector missing: fetch one sector. A conventional
+    /// cache would have hit here (whole line fetched at the first miss),
+    /// so no conventional traffic.
+    #[inline(never)]
+    fn sector_miss(&mut self, tag: u64) -> AccessOutcome {
+        let cold = self.seen_lines.insert(tag);
+        self.stats.record_miss(cold);
+        self.sector_misses += 1;
+        self.traffic.record_fetch(self.sector_size);
+        AccessOutcome {
+            hit: false,
+            fetched_bytes: self.sector_size,
+            evictions: Evictions::None,
+        }
+    }
+
+    /// A line miss in slotted storage: classify it, choose a frame,
+    /// retire its line and fill it. Out of line, so the hit path stays
+    /// small where it is inlined.
+    #[inline(never)]
+    fn fill_slotted(&mut self, core: u16, address: u64, is_write: bool) -> AccessOutcome {
+        let tick = self.tick;
+        let tag = address >> self.line_shift;
+        let set_idx = (tag & self.set_mask) as usize;
+        let line_size = self.config.line_size();
+        let policy = self.config.policy();
+        let offset = address & self.line_mask;
+        let sector_size = self.sector_size;
+        let sector_bit = 1u64 << (offset >> self.sector_shift);
+        let predicts = self.fill.predicts_footprints();
+        let Self {
+            storage: Storage::Slotted(sets),
+            stats,
+            traffic,
+            conventional_fetch_bytes,
+            word_usage,
+            sharing,
+            footprints,
+            seen_lines,
+            set_rngs,
+            ..
+        } = self
+        else {
+            unreachable!("fill_slotted runs on slotted storage");
+        };
+        let mut observers = ObserverStack {
+            stats,
+            traffic,
+            word_usage: word_usage.as_mut(),
+            sharing: sharing.as_mut(),
+            footprints: footprints.as_mut(),
+        };
+        let assoc = sets.assoc;
+        let base = set_idx * assoc;
+        let cold = seen_lines.insert(tag);
+        observers.stats.record_miss(cold);
+        let prefetched = if predicts {
+            observers.predict(tag, sector_bit)
+        } else {
+            0
+        };
+        let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
+        observers.traffic.record_fetch(fetched);
+        *conventional_fetch_bytes += line_size;
+        let occ = sets.occupied[set_idx];
+        let first_empty = (!occ).trailing_zeros() as usize;
+        let victim_way = if first_empty < assoc {
+            first_empty
+        } else {
+            match policy {
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                    oldest_stamp(&sets.meta[base..base + assoc])
+                }
+                ReplacementPolicy::Random => set_rngs
+                    .get_mut(set_idx)
+                    .expect("random policy has set RNGs")
+                    .gen_range(0..assoc),
+                ReplacementPolicy::TreePlru => plru_victim(sets.plru_bits[set_idx], assoc),
+            }
+        };
+        let evictions = if occ & (1 << victim_way) != 0 {
+            Evictions::One(observers.retire(
+                sets.tags[base + victim_way],
+                &sets.meta[base + victim_way],
+                sector_size,
+            ))
+        } else {
+            Evictions::None
+        };
+        sets.tags[base + victim_way] = tag;
+        sets.meta[base + victim_way] = LineMeta {
+            valid_sectors: sector_bit | prefetched,
+            dirty_sectors: if is_write { sector_bit } else { 0 },
+            prefetched,
+            stamp: tick,
+            word_mask: 1u64 << (offset >> 3).min(63),
+            sharers: 1u64 << u64::from(core).min(63),
+            size_bytes: line_size,
+        };
+        sets.occupied[set_idx] = occ | (1 << victim_way);
+        if policy == ReplacementPolicy::TreePlru {
+            plru_touch(&mut sets.plru_bits[set_idx], assoc, victim_way);
+        }
+        AccessOutcome {
+            hit: false,
+            fetched_bytes: fetched,
+            evictions,
+        }
+    }
+
+    /// An access to byte-budgeted (compressed) storage.
+    #[inline(never)]
+    fn access_budgeted(
+        &mut self,
+        core: u16,
+        address: u64,
+        is_write: bool,
+        data: Option<&[u8]>,
+    ) -> AccessOutcome {
         let tick = self.tick;
         let tag = address >> self.line_shift;
         let set_idx = (tag & self.set_mask) as usize;
@@ -1212,12 +1337,10 @@ impl<F: Fill> PipelineCache<F> {
         let core_bit = 1u64 << u64::from(core).min(63);
         let sector_size = self.sector_size;
         let sector_bit = 1u64 << (offset >> self.sector_shift);
-        // Constant per fill type, so the engines of non-predicting fills
-        // compile without the footprint predictor's per-access work.
         let predicts = self.fill.predicts_footprints();
 
         let Self {
-            storage,
+            storage: Storage::Budgeted { sets, set_budget },
             fill,
             stats,
             traffic,
@@ -1232,9 +1355,12 @@ impl<F: Fill> PipelineCache<F> {
             scratch,
             size_memo,
             ..
-        } = self;
+        } = self
+        else {
+            unreachable!("access_budgeted runs on budgeted storage");
+        };
         // The set's own replacement stream (populated iff the policy is
-        // Random); drawn only by the Random arms below.
+        // Random); drawn only by the Random arms of the shrink.
         let mut set_rng = set_rngs.get_mut(set_idx);
         let mut observers = ObserverStack {
             stats,
@@ -1244,220 +1370,113 @@ impl<F: Fill> PipelineCache<F> {
             footprints: footprints.as_mut(),
         };
         let mut evictions = Evictions::None;
-
-        match storage {
-            Storage::Slotted(sets) => {
-                let assoc = sets.assoc;
-                let base = set_idx * assoc;
-                // Resident-line path: scan the contiguous tag words.
-                if let Some(way) = sets.find_way(set_idx, tag) {
-                    let meta = &mut sets.meta[base + way];
-                    meta.last_used = tick;
-                    meta.word_mask |= word_bit;
-                    meta.sharers |= core_bit;
-                    if predicts {
-                        meta.prefetched &= !sector_bit;
-                    }
-                    let sector_present = meta.valid_sectors & sector_bit != 0;
-                    meta.valid_sectors |= sector_bit;
-                    if is_write {
-                        meta.dirty_sectors |= sector_bit;
-                    }
-                    if policy == ReplacementPolicy::TreePlru {
-                        plru_touch(&mut sets.plru_bits[set_idx], assoc, way);
-                    }
-                    if sector_present {
-                        observers.stats.record_hit();
-                        return AccessOutcome {
-                            hit: true,
-                            fetched_bytes: 0,
-                            evictions,
-                        };
-                    }
-                    // Line resident, sector missing: fetch one sector. A
-                    // conventional cache would have hit here (whole line
-                    // fetched at the first miss), so no conventional
-                    // traffic.
-                    let cold = seen_lines.insert(tag);
-                    observers.stats.record_miss(cold);
-                    *sector_misses += 1;
-                    observers.traffic.record_fetch(sector_size);
-                    return AccessOutcome {
-                        hit: false,
-                        fetched_bytes: sector_size,
-                        evictions,
-                    };
-                }
-
-                // Line miss: classify, choose a frame, fill.
-                let cold = seen_lines.insert(tag);
-                observers.stats.record_miss(cold);
-                let prefetched = if predicts {
-                    observers.predict(tag, sector_bit)
-                } else {
-                    0
-                };
-                let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
-                observers.traffic.record_fetch(fetched);
-                *conventional_fetch_bytes += line_size;
-                let occ = sets.occupied[set_idx];
-                let first_empty = (!occ).trailing_zeros() as usize;
-                let victim_way = if first_empty < assoc {
-                    first_empty
-                } else {
-                    match policy {
-                        ReplacementPolicy::Lru => {
-                            min_meta_by_key(&sets.meta[base..base + assoc], |m| m.last_used)
-                        }
-                        ReplacementPolicy::Fifo => {
-                            min_meta_by_key(&sets.meta[base..base + assoc], |m| m.inserted)
-                        }
-                        ReplacementPolicy::Random => {
-                            let rng = set_rng.as_deref_mut().expect("random policy has set RNGs");
-                            rng.gen_range(0..assoc)
-                        }
-                        ReplacementPolicy::TreePlru => plru_victim(sets.plru_bits[set_idx], assoc),
-                    }
-                };
-                if occ & (1 << victim_way) != 0 {
-                    observers.retire(
-                        sets.tags[base + victim_way],
-                        &sets.meta[base + victim_way],
-                        sector_size,
-                        &mut evictions,
-                    );
-                }
-                sets.tags[base + victim_way] = tag;
-                sets.meta[base + victim_way] = LineMeta {
-                    valid_sectors: sector_bit | prefetched,
-                    dirty_sectors: if is_write { sector_bit } else { 0 },
-                    prefetched,
-                    last_used: tick,
-                    inserted: tick,
-                    word_mask: word_bit,
-                    sharers: core_bit,
-                    size_bytes: line_size,
-                };
-                sets.occupied[set_idx] = occ | (1 << victim_way);
-                if policy == ReplacementPolicy::TreePlru {
-                    plru_touch(&mut sets.plru_bits[set_idx], assoc, victim_way);
-                }
-                AccessOutcome {
-                    hit: false,
-                    fetched_bytes: fetched,
-                    evictions,
+        let set = &mut sets[set_idx];
+        // Resident-line path: scan the contiguous tag words.
+        if let Some(index) = set.tags.iter().position(|&t| t == tag) {
+            let meta = &mut set.meta[index];
+            if policy == ReplacementPolicy::Lru {
+                meta.stamp = tick;
+            }
+            meta.word_mask |= word_bit;
+            meta.sharers |= core_bit;
+            if predicts {
+                meta.prefetched &= !sector_bit;
+            }
+            let sector_present = meta.valid_sectors & sector_bit != 0;
+            meta.valid_sectors |= sector_bit;
+            let mut size_changed = false;
+            if is_write {
+                meta.dirty_sectors |= sector_bit;
+                // Size-cache invalidation: a dirty write recomputes the
+                // stored size only when the payload can differ from the
+                // one the cached size was computed from — i.e. when the
+                // caller supplied data. Data-free writes take their
+                // payload from the value generator, a pure function of
+                // the address, so the size cannot change (the test oracle
+                // recompresses on every access and asserts exactly that).
+                if let Some(d) = data {
+                    let new_size = payload_stored_size(fill, line_size, d);
+                    size_changed = new_size != meta.size_bytes;
+                    set.occupied_bytes = set.occupied_bytes - meta.size_bytes + new_size;
+                    meta.size_bytes = new_size;
                 }
             }
-            Storage::Budgeted { sets, set_budget } => {
-                let set = &mut sets[set_idx];
-                // Resident-line path: scan the contiguous tag words.
-                if let Some(index) = set.tags.iter().position(|&t| t == tag) {
-                    let meta = &mut set.meta[index];
-                    meta.last_used = tick;
-                    meta.word_mask |= word_bit;
-                    meta.sharers |= core_bit;
-                    if predicts {
-                        meta.prefetched &= !sector_bit;
-                    }
-                    let sector_present = meta.valid_sectors & sector_bit != 0;
-                    meta.valid_sectors |= sector_bit;
-                    let mut size_changed = false;
-                    if is_write {
-                        meta.dirty_sectors |= sector_bit;
-                        // Size-cache invalidation: a dirty write recomputes
-                        // the stored size only when the payload can differ
-                        // from the one the cached size was computed from —
-                        // i.e. when the caller supplied data. Data-free
-                        // writes take their payload from the value
-                        // generator, a pure function of the address, so the
-                        // size cannot change (the test oracle recompresses
-                        // on every access and asserts exactly that).
-                        if let Some(d) = data {
-                            let new_size = payload_stored_size(fill, line_size, d);
-                            size_changed = new_size != meta.size_bytes;
-                            set.occupied_bytes = set.occupied_bytes - meta.size_bytes + new_size;
-                            meta.size_bytes = new_size;
-                        }
-                    }
-                    let hit = sector_present;
-                    if hit {
-                        observers.stats.record_hit();
-                    } else {
-                        let cold = seen_lines.insert(tag);
-                        observers.stats.record_miss(cold);
-                        *sector_misses += 1;
-                        observers.traffic.record_fetch(sector_size);
-                    }
-                    // The budget invariant holds after every fill/write, so
-                    // a write that provably kept the size unchanged cannot
-                    // overflow the set; the historical unconditional shrink
-                    // was a no-op there (and drew no Random numbers).
-                    if size_changed {
-                        shrink_to_budget(
-                            set,
-                            *set_budget,
-                            None,
-                            policy,
-                            set_rng.as_deref_mut(),
-                            sector_size,
-                            &mut observers,
-                            &mut evictions,
-                        );
-                    }
-                    return AccessOutcome {
-                        hit,
-                        fetched_bytes: if hit { 0 } else { sector_size },
-                        evictions,
-                    };
-                }
-
-                // Line miss: fetch and insert compressed. Generator-backed
-                // sizes come from the tag→size memo (zero compressor calls
-                // for previously seen tags); caller payloads are always
-                // compressed afresh.
+            let hit = sector_present;
+            if hit {
+                observers.stats.record_hit();
+            } else {
                 let cold = seen_lines.insert(tag);
                 observers.stats.record_miss(cold);
-                let prefetched = if predicts {
-                    observers.predict(tag, sector_bit)
-                } else {
-                    0
-                };
-                let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
-                observers.traffic.record_fetch(fetched);
-                *conventional_fetch_bytes += line_size;
-                let size = match data {
-                    Some(d) => payload_stored_size(fill, line_size, d),
-                    None => generated_stored_size(fill, line_size, tag, scratch, size_memo),
-                };
-                compression.record(line_size as usize, size as usize);
-                set.tags.push(tag);
-                set.meta.push(LineMeta {
-                    valid_sectors: sector_bit | prefetched,
-                    dirty_sectors: if is_write { sector_bit } else { 0 },
-                    prefetched,
-                    last_used: tick,
-                    inserted: tick,
-                    word_mask: word_bit,
-                    sharers: core_bit,
-                    size_bytes: size,
-                });
-                set.occupied_bytes += size;
+                *sector_misses += 1;
+                observers.traffic.record_fetch(sector_size);
+            }
+            // The budget invariant holds after every fill/write, so a
+            // write that provably kept the size unchanged cannot overflow
+            // the set; the historical unconditional shrink was a no-op
+            // there (and drew no Random numbers).
+            if size_changed {
                 shrink_to_budget(
                     set,
                     *set_budget,
-                    Some(tag),
+                    None,
                     policy,
-                    set_rng,
+                    set_rng.as_deref_mut(),
                     sector_size,
                     &mut observers,
                     &mut evictions,
                 );
-                AccessOutcome {
-                    hit: false,
-                    fetched_bytes: fetched,
-                    evictions,
-                }
             }
+            return AccessOutcome {
+                hit,
+                fetched_bytes: if hit { 0 } else { sector_size },
+                evictions,
+            };
+        }
+
+        // Line miss: fetch and insert compressed. Generator-backed sizes
+        // come from the tag→size memo (zero compressor calls for
+        // previously seen tags); caller payloads are always compressed
+        // afresh.
+        let cold = seen_lines.insert(tag);
+        observers.stats.record_miss(cold);
+        let prefetched = if predicts {
+            observers.predict(tag, sector_bit)
+        } else {
+            0
+        };
+        let fetched = u64::from((sector_bit | prefetched).count_ones()) * sector_size;
+        observers.traffic.record_fetch(fetched);
+        *conventional_fetch_bytes += line_size;
+        let size = match data {
+            Some(d) => payload_stored_size(fill, line_size, d),
+            None => generated_stored_size(fill, line_size, tag, scratch, size_memo),
+        };
+        compression.record(line_size as usize, size as usize);
+        set.tags.push(tag);
+        set.meta.push(LineMeta {
+            valid_sectors: sector_bit | prefetched,
+            dirty_sectors: if is_write { sector_bit } else { 0 },
+            prefetched,
+            stamp: tick,
+            word_mask: word_bit,
+            sharers: core_bit,
+            size_bytes: size,
+        });
+        set.occupied_bytes += size;
+        shrink_to_budget(
+            set,
+            *set_budget,
+            Some(tag),
+            policy,
+            set_rng,
+            sector_size,
+            &mut observers,
+            &mut evictions,
+        );
+        AccessOutcome {
+            hit: false,
+            fetched_bytes: fetched,
+            evictions,
         }
     }
 
@@ -1468,9 +1487,6 @@ impl<F: Fill> PipelineCache<F> {
         let (tag, old) = self.extract_line(address)?;
         Some(EvictedLine {
             line_address: tag,
-            dirty: old.dirty_sectors != 0,
-            used_words: old.word_mask.count_ones(),
-            sharers: old.sharers.count_ones(),
             writeback_bytes: u64::from(old.dirty_sectors.count_ones()) * self.sector_size,
         })
     }
@@ -1500,10 +1516,7 @@ impl<F: Fill> PipelineCache<F> {
     pub fn invalidate(&mut self, address: u64) -> Option<EvictedLine> {
         let (tag, old) = self.extract_line(address)?;
         let sector_size = self.sector_size;
-        let mut evictions = Evictions::None;
-        self.observers()
-            .retire(tag, &old, sector_size, &mut evictions);
-        evictions.as_slice().first().copied()
+        Some(self.observers().retire(tag, &old, sector_size))
     }
 
     /// Marks `address`'s line dirty if resident (used when a hierarchy
@@ -1576,12 +1589,11 @@ impl<F: Fill> PipelineCache<F> {
                 }
             }
         }
-        let mut evictions = Evictions::None;
         let mut observers = self.observers();
-        for (tag, old) in &drained {
-            observers.retire(*tag, old, sector_size, &mut evictions);
-        }
-        evictions.as_slice().to_vec()
+        drained
+            .iter()
+            .map(|(tag, old)| observers.retire(*tag, old, sector_size))
+            .collect()
     }
 
     fn observers(&mut self) -> ObserverStack<'_> {
@@ -1659,15 +1671,17 @@ impl PipelineCache<SectoredCompressedFill> {
     }
 }
 
-/// First way whose metadata minimises `key`, over a full set's contiguous
-/// metadata slice. Only called when every way is occupied (the empty-way
-/// fast path ran first), so no occupancy filter is needed; `min_by_key`
-/// returns the *first* minimum, matching the historical per-way scan.
-fn min_meta_by_key<K: Fn(&LineMeta) -> u64>(metas: &[LineMeta], key: K) -> usize {
+/// First way with the smallest replacement stamp, over a full set's
+/// contiguous metadata slice. Only called when every way is occupied (the
+/// empty-way fast path ran first), so no occupancy filter is needed;
+/// `min_by_key` returns the *first* minimum, matching the historical
+/// per-way scan.
+#[inline]
+fn oldest_stamp(metas: &[LineMeta]) -> usize {
     metas
         .iter()
         .enumerate()
-        .min_by_key(|&(_, m)| key(m))
+        .min_by_key(|&(_, m)| m.stamp)
         .map(|(i, _)| i)
         .expect("victim selection scans a non-empty set")
 }
@@ -1773,11 +1787,8 @@ fn shrink_to_budget(
             .enumerate()
             .filter(|&(_, (&t, _))| Some(t) != protect_tag);
         let victim = match policy {
-            ReplacementPolicy::Lru => candidates
-                .min_by_key(|&(_, (_, m))| m.last_used)
-                .map(|(i, _)| i),
-            ReplacementPolicy::Fifo => candidates
-                .min_by_key(|&(_, (_, m))| m.inserted)
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => candidates
+                .min_by_key(|&(_, (_, m))| m.stamp)
                 .map(|(i, _)| i),
             ReplacementPolicy::Random => {
                 // Direct fallible pick: count the candidates, draw one
@@ -1805,7 +1816,7 @@ fn shrink_to_budget(
         match victim {
             Some(i) => {
                 let (tag, old) = set.remove(i);
-                observers.retire(tag, &old, sector_size, evictions);
+                evictions.push(observers.retire(tag, &old, sector_size));
             }
             None => return, // only the protected line remains
         }
@@ -1830,6 +1841,12 @@ mod tests {
         (0..line_size).map(|_| rng.gen_u8()).collect()
     }
 
+    /// One replacement stamp keeps a line's record at seven words.
+    #[test]
+    fn line_meta_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<LineMeta>(), 56);
+    }
+
     /// Feeds `tags` to a [`FirstTouch`] and a `HashSet` reference,
     /// requiring the same `insert` result at every step.
     fn assert_first_touch_matches(label: &str, tags: impl IntoIterator<Item = u64>) {
@@ -1846,8 +1863,9 @@ mod tests {
 
     #[test]
     fn first_touch_matches_a_hash_set() {
-        let page = 1u64 << PAGE_SHIFT;
-        let memo_slots = 1u64 << MEMO_BITS;
+        let page = PAGE_LINES as u64;
+        // The paged table's memo slots.
+        let memo_slots = 64;
         assert_first_touch_matches("dense", (0..3 * page).chain(0..3 * page));
         let mut rng = Rng::seed_from_u64(11);
         assert_first_touch_matches("random", (0..200_000).map(|_| rng.gen_range(0..64 * page)));
@@ -1881,9 +1899,10 @@ mod tests {
     #[test]
     fn page_strided_scan_counts_cold_misses_once() {
         use bandwall_trace::{StridedTrace, TraceSource};
-        let lines = 3 * (1u64 << MEMO_BITS);
+        // Three times the pages the paged table's memo holds.
+        let lines = 3 * 64;
         let mut cache = crate::Cache::new(CacheConfig::new(4096, 64, 4).expect("valid"));
-        let mut scan = StridedTrace::new(64, 64 << PAGE_SHIFT, lines);
+        let mut scan = StridedTrace::new(64, 64 * PAGE_LINES as u64, lines);
         for access in scan.iter().take(3 * lines as usize) {
             cache.access(access.address(), false);
         }
@@ -1908,8 +1927,7 @@ mod tests {
                     valid_sectors: 1,
                     dirty_sectors: 1,
                     prefetched: 0,
-                    last_used: 1,
-                    inserted: 1,
+                    stamp: 1,
                     word_mask: 1,
                     sharers: 1,
                     size_bytes: 128,

@@ -16,11 +16,20 @@
 //! * cold misses are a `HashSet` of line addresses, and the footprint
 //!   predictor is a `HashMap` of the sectors each line used;
 //! * compressed fills regenerate and recompress the line payload on every
-//!   access, and a hit asserts that the size did not change.
+//!   access, and a hit asserts that the size did not change;
+//! * a cache that tracks sharers keeps the set of cores that touched each
+//!   resident line.
+//!
+//! [`cmp`] composes these caches into a reference CMP.
+
+// Each test binary that includes the oracle uses only part of it.
+#![allow(dead_code)]
+
+pub mod cmp;
 
 use bandwall_cache_sim::{
     CacheStats, CompressorKind, EngineSimConfig, EngineSimStats, FillSpec, MemoryTraffic,
-    ProfileKind, ReplacementPolicy,
+    ProfileKind, ReplacementPolicy, SharingStats,
 };
 use bandwall_compress::{Bdi, BestOf, CompressionStats, Compressor, Fpc, ZeroRle};
 use bandwall_numerics::Rng;
@@ -38,7 +47,7 @@ pub fn run<T: TraceSource>(
     let mut oracle = Oracle::new(config);
     for _ in 0..accesses {
         let access = trace.next_access();
-        oracle.access(access.address(), access.kind().is_write());
+        oracle.access(0, access.address(), access.kind().is_write());
     }
     if config.flush {
         oracle.flush();
@@ -58,6 +67,28 @@ struct Line {
     dirty: u64,
     /// Bytes the line occupies.
     size: u64,
+    /// Cores that touched the line during this residency.
+    sharers: HashSet<u16>,
+}
+
+/// A line that left the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim {
+    /// Line address (byte address / line size).
+    pub address: u64,
+    pub dirty: bool,
+    /// Bytes its write-back puts on the memory link (the dirty sectors).
+    pub writeback_bytes: u64,
+}
+
+/// What one access did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcome {
+    pub hit: bool,
+    /// Bytes fetched from the next level.
+    pub fetched: u64,
+    /// Lines the access displaced, in eviction order.
+    pub victims: Vec<Victim>,
 }
 
 struct Set {
@@ -127,7 +158,10 @@ struct Oracle {
     sets: Vec<Set>,
     seen: HashSet<u64>,
     footprints: HashMap<u64, u64>,
-    stats: EngineSimStats,
+    pub stats: EngineSimStats,
+    /// Present iff the cache tracks sharers: lines by the number of cores
+    /// that touched them, counted as they leave.
+    pub sharing: Option<SharingStats>,
 }
 
 fn compressor(kind: CompressorKind) -> Box<dyn Compressor> {
@@ -148,7 +182,7 @@ fn profile(kind: ProfileKind) -> ValueProfile {
 }
 
 impl Oracle {
-    fn new(config: &EngineSimConfig) -> Self {
+    pub fn new(config: &EngineSimConfig) -> Self {
         let cache = config.cache;
         let (sectors, predicts, payloads) = match config.fill {
             FillSpec::FullLine => (1, false, None),
@@ -201,7 +235,14 @@ impl Oracle {
                 prefetched_sectors: 0,
                 overfetched_sectors: 0,
             },
+            sharing: None,
         }
+    }
+
+    /// The same cache, counting each line's sharers as it leaves.
+    pub fn tracking_sharers(mut self) -> Self {
+        self.sharing = Some(SharingStats::new());
+        self
     }
 
     /// The line's stored size, recompressed from scratch (compressed fills
@@ -212,7 +253,8 @@ impl Oracle {
         Some((compressor.compressed_size(&payload) as u64).min(self.line_size))
     }
 
-    fn access(&mut self, byte_address: u64, is_write: bool) {
+    /// One access from `core`.
+    pub fn access(&mut self, core: u16, byte_address: u64, is_write: bool) -> Outcome {
         let address = byte_address / self.line_size;
         let set_index = (address % self.set_count) as usize;
         let sector = 1u64 << ((byte_address % self.line_size) / self.sector_size);
@@ -231,6 +273,7 @@ impl Oracle {
             let present = line.valid & sector != 0;
             line.valid |= sector;
             line.used |= sector;
+            line.sharers.insert(core);
             if is_write {
                 line.dirty |= sector;
             }
@@ -250,7 +293,11 @@ impl Oracle {
                 self.stats.sector_misses += 1;
                 self.stats.traffic.record_fetch(self.sector_size);
             }
-            return;
+            return Outcome {
+                hit: present,
+                fetched: if present { 0 } else { self.sector_size },
+                victims: Vec::new(),
+            };
         }
 
         let cold = self.seen.insert(address);
@@ -263,27 +310,32 @@ impl Oracle {
         };
         self.stats.prefetched_sectors += u64::from(predicted.count_ones());
         let valid = sector | predicted;
-        self.stats
-            .traffic
-            .record_fetch(u64::from(valid.count_ones()) * self.sector_size);
+        let fetched = u64::from(valid.count_ones()) * self.sector_size;
+        self.stats.traffic.record_fetch(fetched);
         let line = Line {
             address,
             valid,
             used: sector,
             dirty: if is_write { sector } else { 0 },
             size: size.unwrap_or(self.line_size),
+            sharers: HashSet::from([core]),
         };
-        if self.payloads.is_some() {
+        let victims = if self.payloads.is_some() {
             self.stats
                 .compression
                 .record(self.line_size as usize, line.size as usize);
-            self.insert_budgeted(set_index, line);
+            self.insert_budgeted(set_index, line)
         } else {
-            self.insert_slotted(set_index, line);
+            self.insert_slotted(set_index, line)
+        };
+        Outcome {
+            hit: false,
+            fetched,
+            victims,
         }
     }
 
-    fn insert_slotted(&mut self, set_index: usize, line: Line) {
+    fn insert_slotted(&mut self, set_index: usize, line: Line) -> Vec<Victim> {
         let policy = self.policy;
         let associativity = self.associativity;
         let set = &mut self.sets[set_index];
@@ -307,14 +359,12 @@ impl Oracle {
         if policy == ReplacementPolicy::TreePlru {
             set.plru_touch(way);
         }
-        if let Some(victim) = victim {
-            self.retire(victim);
-        }
+        victim.into_iter().map(|line| self.retire(line)).collect()
     }
 
     /// Appends `line` to its byte-budgeted set, then evicts other lines
     /// until the set fits its budget again.
-    fn insert_budgeted(&mut self, set_index: usize, line: Line) {
+    fn insert_budgeted(&mut self, set_index: usize, line: Line) -> Vec<Victim> {
         let budget = self.line_size * self.associativity as u64;
         let policy = self.policy;
         let protected = line.address;
@@ -352,26 +402,33 @@ impl Oracle {
             set.forget(victim.address);
             victims.push(victim);
         }
-        for victim in victims {
-            self.retire(victim);
-        }
+        victims.into_iter().map(|line| self.retire(line)).collect()
     }
 
-    fn retire(&mut self, line: Line) {
+    fn retire(&mut self, line: Line) -> Victim {
         let dirty = line.dirty != 0;
+        let writeback_bytes = u64::from(line.dirty.count_ones()) * self.sector_size;
         self.stats.cache.record_eviction(dirty);
         if dirty {
-            self.stats
-                .traffic
-                .record_writeback(u64::from(line.dirty.count_ones()) * self.sector_size);
+            self.stats.traffic.record_writeback(writeback_bytes);
         }
         if self.predicts {
             self.stats.overfetched_sectors += u64::from((line.valid & !line.used).count_ones());
             self.footprints.insert(line.address, line.used);
         }
+        if let Some(sharing) = &mut self.sharing {
+            sharing.record_eviction(line.sharers.len() as u32);
+        }
+        Victim {
+            address: line.address,
+            dirty,
+            writeback_bytes,
+        }
     }
 
-    fn flush(&mut self) {
+    /// Evicts every line, set by set and way by way, returning them in
+    /// that order.
+    pub fn flush(&mut self) -> Vec<Victim> {
         let lines: Vec<Line> = self
             .sets
             .iter_mut()
@@ -380,8 +437,6 @@ impl Oracle {
                 set.ways.drain(..).flatten().collect::<Vec<_>>()
             })
             .collect();
-        for line in lines {
-            self.retire(line);
-        }
+        lines.into_iter().map(|line| self.retire(line)).collect()
     }
 }

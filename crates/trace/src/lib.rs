@@ -28,6 +28,9 @@
 //! * [`LineMap`] / [`LineSet`] — std maps over [`LineHasher`], the one
 //!   cheap hasher every line-, tag- or page-keyed map in the simulators
 //!   uses.
+//! * [`PagedLineTable`] — a slot per line in pages of [`PAGE_LINES`]
+//!   lines, behind the miss-rate probe's LRU nodes and the cache
+//!   engine's first-touch bits.
 //!
 //! Everything is seeded and reproducible: the same seed always produces
 //! the same trace.
@@ -60,6 +63,7 @@ mod access;
 mod chunked;
 mod line_hash;
 mod mix;
+mod paged;
 mod parsec_like;
 mod pointer_chase;
 mod reuse;
@@ -74,6 +78,7 @@ pub use access::{AccessKind, MemoryAccess, TraceIter, TraceSource};
 pub use chunked::ReplayTrace;
 pub use line_hash::{LineHasher, LineMap, LineSet};
 pub use mix::{MixTrace, MixTraceBuilder};
+pub use paged::{PagedLineTable, PAGE_LINES};
 pub use parsec_like::{ParsecLikeTrace, ParsecLikeTraceBuilder};
 pub use pointer_chase::{PointerChaseTrace, PointerChaseTraceBuilder};
 pub use reuse::{MissRateProbe, ReuseDistanceProfiler};

@@ -7,12 +7,13 @@
 //! pass, which is how Figure 1's SPEC-like miss-rate curves are produced
 //! without simulating dozens of cache configurations. Its commercial
 //! curves need no profiling: a [`StackDistanceTrace`] draws each access's
-//! reuse distance itself, so [`StackDistanceTrace::into_depths`] hands
-//! those distances over directly, and a probe warmed with
-//! [`StackDistanceTrace::warm_probe`] measures the same ones back.
+//! reuse distance itself, so
+//! [`StackDistanceTrace::count_depths_at_least`] counts those distances
+//! directly, and a probe warmed with [`StackDistanceTrace::warm_probe`]
+//! measures the same ones back.
 //!
 //! [`StackDistanceTrace`]: crate::StackDistanceTrace
-//! [`StackDistanceTrace::into_depths`]: crate::StackDistanceTrace::into_depths
+//! [`StackDistanceTrace::count_depths_at_least`]: crate::StackDistanceTrace::count_depths_at_least
 //! [`StackDistanceTrace::warm_probe`]: crate::StackDistanceTrace::warm_probe
 //!
 //! Both tools here are exact. [`ReuseDistanceProfiler`] returns every
@@ -20,10 +21,10 @@
 //! tree) algorithm: O(log n) per access instead of the naive O(n) stack
 //! scan. [`MissRateProbe`] needs only which of a fixed set of capacities
 //! an access misses at, so it walks an LRU list with one marker per
-//! capacity instead: one hash lookup plus one step per capacity missed.
+//! capacity instead: one table lookup plus one step per capacity missed.
 
 use crate::line_hash::LineMap;
-use std::collections::hash_map::Entry;
+use crate::paged::{PagedLineTable, PAGE_LINES};
 
 /// Fenwick tree over the access timeline supporting point updates and
 /// prefix sums. The timeline grows without bound, so the tree keeps the
@@ -136,7 +137,8 @@ impl ReuseDistanceProfiler {
     }
 }
 
-/// Marks the missing neighbour at either end of the probe's LRU list.
+/// Marks the missing neighbour at either end of the probe's LRU list,
+/// and a line the probe has not seen.
 const NONE: u32 = u32::MAX;
 
 /// Miss-rate probe: reports the miss rate a fully-associative LRU cache
@@ -149,8 +151,12 @@ const NONE: u32 = u32::MAX;
 /// misses at exactly the `tier` smallest capacities. Moving a node to the
 /// front shifts only the markers it had passed, one node toward the
 /// front, and each node a marker passes gains one tier. An access
-/// therefore costs one hash lookup plus one step per capacity it misses
+/// therefore costs one table lookup plus one step per capacity it misses
 /// at, not a reuse-distance computation.
+///
+/// Lines find their nodes through a [`PagedLineTable`], 16 KB per page
+/// of 4096 lines touched: cheap for the dense line ranges of the
+/// synthetic workloads, costly for a few lines scattered far apart.
 ///
 /// # Examples
 ///
@@ -172,8 +178,8 @@ pub struct MissRateProbe {
     slot: Vec<usize>,
     /// The distinct capacities, ascending.
     sorted: Vec<usize>,
-    /// The LRU list node of every line seen.
-    nodes: LineMap<u64, u32>,
+    /// The LRU list node of every line seen, `NONE` for the rest.
+    nodes: PagedLineTable<[u32; PAGE_LINES]>,
     /// Per node: its neighbour toward the front, toward the tail, and
     /// its tier. A tier never exceeds its node's depth, so it fits `u32`
     /// like the node ids, whatever the number of capacities.
@@ -221,7 +227,7 @@ impl MissRateProbe {
             slot,
             tier_hits: vec![0; sorted.len() + 1],
             sorted,
-            nodes: LineMap::default(),
+            nodes: PagedLineTable::new([NONE; PAGE_LINES]),
             prev: Vec::new(),
             next: Vec::new(),
             tier: Vec::new(),
@@ -243,20 +249,17 @@ impl MissRateProbe {
     pub fn observe(&mut self, line: u64) {
         self.accesses += 1;
         let fresh = self.prev.len();
-        let seen = match self.nodes.entry(line) {
-            Entry::Occupied(node) => Some(*node.get()),
-            Entry::Vacant(slot) => {
-                assert!(
-                    fresh < NONE as usize,
-                    "probe holds at most u32::MAX distinct lines"
-                );
-                slot.insert(fresh as u32);
-                None
-            }
-        };
-        match seen {
-            Some(node) => self.touch(node),
-            None => self.push_cold(),
+        let (page, slot) = self.nodes.page_mut(line);
+        let node = page[slot];
+        if node == NONE {
+            assert!(
+                fresh < NONE as usize,
+                "probe holds at most u32::MAX distinct lines"
+            );
+            page[slot] = fresh as u32;
+            self.push_cold();
+        } else {
+            self.touch(node);
         }
     }
 

@@ -235,7 +235,9 @@ impl StackDistanceTrace {
 
     /// The LRU stack depths of the accesses
     /// [`next_access`](TraceSource::next_access) would make, in order,
-    /// without making them.
+    /// without making them: the reference that
+    /// [`count_depths_at_least`](Self::count_depths_at_least) is tested
+    /// against.
     ///
     /// By Mattson's stack-distance identity, an access misses a
     /// fully-associative LRU cache of `C` lines exactly when its depth is
@@ -260,11 +262,61 @@ impl StackDistanceTrace {
         let mut draws = self.draws;
         std::iter::repeat_with(move || draws.next().depth)
     }
+
+    /// For each capacity in `caps`, how many of the next `n` draws have
+    /// an LRU stack depth of at least that capacity: the miss counts of
+    /// fully-associative LRU caches of those sizes, equal to a count over
+    /// [`into_depths`](Self::into_depths).
+    ///
+    /// A draw's depth does not grow with its 53-bit uniform key, so the
+    /// depth reaches a capacity exactly when the key lies below that
+    /// capacity's threshold key, found once by bisection over the very
+    /// expression each draw evaluates. A draw then costs its three
+    /// random words and one compare per capacity, not a `powf`. Keys
+    /// within 2^24 of a threshold have their depth evaluated directly,
+    /// so the count does not rest on `powf` being monotone where it is
+    /// closest to a capacity. Like `into_depths`, this consumes the
+    /// trace.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bandwall_trace::StackDistanceTrace;
+    ///
+    /// let build = || StackDistanceTrace::builder(0.5).seed(3).max_distance(1 << 12).build();
+    /// let counts = build().count_depths_at_least(&[256, 1024], 10_000);
+    /// let at_256 = build().into_depths().take(10_000).filter(|&d| d >= 256).count();
+    /// assert_eq!(counts[0], at_256 as u64);
+    /// assert!(counts[1] < counts[0]);
+    /// ```
+    pub fn count_depths_at_least(self, caps: &[usize], n: usize) -> Vec<u64> {
+        let mut draws = self.draws;
+        let reach: Vec<u64> = caps.iter().map(|&cap| draws.reach(cap)).collect();
+        let mut counts = vec![0; caps.len()];
+        for _ in 0..n {
+            let key = draws.next_key();
+            draws.tally(key, caps, &reach, THRESHOLD_BAND, &mut counts);
+        }
+        counts
+    }
 }
 
+/// The keys a depth draw takes: `next_u64() >> 11`, 53 bits.
+const KEYS: u64 = 1 << 53;
+
+/// Half-width of the band of keys around each capacity's threshold whose
+/// depth [`StackDistanceTrace::count_depths_at_least`] evaluates
+/// directly. A key outside the band differs from the threshold's uniform
+/// draw by at least 2^-29 relative, so its depth lies on the threshold's
+/// side as long as `powf` is accurate to far better than that (it is
+/// within an ulp, 2^-52). Draws land in a band with probability 2^-28
+/// per capacity, so the band costs nothing measurable.
+const THRESHOLD_BAND: u64 = 1 << 24;
+
 /// The random draws behind one access, shared by
-/// [`TraceSource::next_access`] and [`StackDistanceTrace::into_depths`]
-/// so both advance the RNG identically.
+/// [`TraceSource::next_access`], [`StackDistanceTrace::into_depths`] and
+/// [`StackDistanceTrace::count_depths_at_least`] so all three advance the
+/// RNG identically.
 #[derive(Debug, Clone)]
 struct Draws {
     alpha: f64,
@@ -285,7 +337,8 @@ struct Draw {
 
 impl Draws {
     fn next(&mut self) -> Draw {
-        let depth = self.sample_distance();
+        let key = self.rng.next_u64() >> 11;
+        let depth = self.depth(key);
         let word = self.rng.gen_range(0..self.touched_words) as u64;
         let kind = if self.rng.gen_f64() < self.write_fraction {
             AccessKind::Write
@@ -295,15 +348,62 @@ impl Draws {
         Draw { depth, word, kind }
     }
 
-    /// Samples a Pareto(`x_m = min_distance`, shape `alpha`) reuse
-    /// distance, truncated to the deepest stack slot.
-    fn sample_distance(&mut self) -> usize {
-        let u: f64 = self.rng.gen_f64().max(f64::MIN_POSITIVE);
+    /// The next access's depth key, with its word and kind draws made
+    /// and dropped: `gen_range` and `gen_f64` each take one `next_u64`.
+    fn next_key(&mut self) -> u64 {
+        let key = self.rng.next_u64() >> 11;
+        self.rng.next_u64();
+        self.rng.next_u64();
+        key
+    }
+
+    /// The Pareto(`x_m = min_distance`, shape `alpha`) reuse distance of
+    /// the uniform draw `key / 2^53` (as `Rng::gen_f64` forms it),
+    /// truncated to the deepest stack slot. It does not grow with `key`.
+    fn depth(&self, key: u64) -> usize {
+        let u: f64 = (key as f64 * (1.0 / KEYS as f64)).max(f64::MIN_POSITIVE);
         let d = self.min_distance as f64 * u.powf(-1.0 / self.alpha);
         if d >= (self.max_distance - 1) as f64 {
             self.max_distance - 1
         } else {
             d as usize
+        }
+    }
+
+    /// How many keys have a depth of at least `cap`: every key below the
+    /// result and, depth being non-increasing in the key, none from it
+    /// up. Bisection over [`Draws::depth`] itself.
+    fn reach(&self, cap: usize) -> u64 {
+        if self.depth(0) < cap {
+            return 0;
+        }
+        // `depth(lo) >= cap` throughout; `hi` is the first key known (or,
+        // at `KEYS`, taken) to fall short.
+        let (mut lo, mut hi) = (0, KEYS);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.depth(mid) >= cap {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    /// Adds one draw with depth key `key` to `counts`: a compare with
+    /// each capacity's `reach`, or, within `band` of any of them, its
+    /// depth evaluated directly.
+    fn tally(&self, key: u64, caps: &[usize], reach: &[u64], band: u64, counts: &mut [u64]) {
+        if reach.iter().any(|&r| key.abs_diff(r) < band) {
+            let depth = self.depth(key);
+            for (count, &cap) in counts.iter_mut().zip(caps) {
+                *count += u64::from(depth >= cap);
+            }
+        } else {
+            for (count, &r) in counts.iter_mut().zip(reach) {
+                *count += u64::from(key < r);
+            }
         }
     }
 }
@@ -534,6 +634,87 @@ mod tests {
                 }
                 let counted: Vec<f64> = misses.iter().map(|&m| m as f64 / DRAWS as f64).collect();
                 assert_eq!(probe.miss_rates(), counted, "{} seed {seed}", trace.name());
+            }
+        }
+    }
+
+    /// Figure 1's capacities (2^7..2^16 lines), plus capacities below
+    /// the commercial workloads' Pareto minimum (2 lines) and at and
+    /// beyond their 2^17-line footprint, whose deepest slot is 2^17 - 1.
+    fn threshold_caps() -> Vec<usize> {
+        let mut caps: Vec<usize> = (7..=16).map(|i| 1 << i).collect();
+        caps.extend([1, 2, 3, (1 << 17) - 1, 1 << 17, (1 << 17) + 1, 1 << 20]);
+        caps
+    }
+
+    /// The threshold count equals a count over the drawn depths for
+    /// every commercial workload, at three seeds, over Figure 1's
+    /// 400,000 draws.
+    #[test]
+    fn threshold_counts_equal_depth_counts() {
+        const DRAWS: usize = 400_000;
+        let caps = threshold_caps();
+        for seed in [2026, 1, 4242] {
+            for i in 0..crate::suites::COMMERCIAL_WORKLOADS.len() {
+                let build = || crate::suites::commercial_workload(seed, i).build();
+                let mut expected = vec![0u64; caps.len()];
+                for depth in build().into_depths().take(DRAWS) {
+                    for (count, &cap) in expected.iter_mut().zip(&caps) {
+                        *count += u64::from(depth >= cap);
+                    }
+                }
+                let counted = build().count_depths_at_least(&caps, DRAWS);
+                assert_eq!(counted, expected, "workload {i} seed {seed}");
+            }
+        }
+    }
+
+    /// Draws forced at each capacity's last reaching key `K`, at `K ± 1`
+    /// and at the band's edges count exactly what their depth says, with
+    /// the band and without it (where only the threshold compare
+    /// decides).
+    #[test]
+    fn forced_draws_at_the_thresholds_count_their_depth() {
+        let caps = threshold_caps();
+        let band = THRESHOLD_BAND as i128;
+        for i in 0..crate::suites::COMMERCIAL_WORKLOADS.len() {
+            let draws = crate::suites::commercial_workload(2026, i).build().draws;
+            let reach: Vec<u64> = caps.iter().map(|&cap| draws.reach(cap)).collect();
+            for (&cap, &r) in caps.iter().zip(&reach) {
+                if r > 0 {
+                    assert!(draws.depth(r - 1) >= cap, "cap {cap}: last key falls short");
+                }
+                if r < KEYS {
+                    assert!(draws.depth(r) < cap, "cap {cap}: first key past reaches it");
+                }
+                let last = i128::from(r) - 1;
+                let offsets = [
+                    -1,
+                    0,
+                    1,
+                    -band - 1,
+                    -band,
+                    -band + 1,
+                    band - 1,
+                    band,
+                    band + 1,
+                ];
+                let keys = offsets
+                    .iter()
+                    .map(|&offset| last + offset)
+                    .filter(|&key| (0..i128::from(KEYS)).contains(&key));
+                for key in keys.map(|key| key as u64) {
+                    let depth = draws.depth(key);
+                    let expected: Vec<u64> = caps.iter().map(|&c| u64::from(depth >= c)).collect();
+                    for band in [THRESHOLD_BAND, 0] {
+                        let mut counts = vec![0; caps.len()];
+                        draws.tally(key, &caps, &reach, band, &mut counts);
+                        assert_eq!(
+                            counts, expected,
+                            "workload {i} cap {cap} key {key} band {band}"
+                        );
+                    }
+                }
             }
         }
     }
