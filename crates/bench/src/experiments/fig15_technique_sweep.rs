@@ -65,14 +65,14 @@ impl Experiment for Fig15TechniqueSweep {
             base_row.push(Value::int(solve(None, g)?));
         }
         table.push_row(base_row);
-        for profile in catalog() {
-            let mut row = vec![Value::text(profile.label())];
+        for d in catalog() {
+            let mut row = vec![Value::text(d.label)];
             for &g in &GENERATIONS {
-                let real = solve(Some(profile.technique(AssumptionLevel::Realistic)?), g)?;
-                let pess = solve(Some(profile.technique(AssumptionLevel::Pessimistic)?), g)?;
-                let opt = solve(Some(profile.technique(AssumptionLevel::Optimistic)?), g)?;
+                let real = solve(Some(d.at(AssumptionLevel::Realistic)?), g)?;
+                let pess = solve(Some(d.at(AssumptionLevel::Pessimistic)?), g)?;
+                let opt = solve(Some(d.at(AssumptionLevel::Optimistic)?), g)?;
                 row.push(Value::fmt(format!("{real} [{pess}..{opt}]"), real as f64));
-                if g == 4 && profile.label() == "DRAM" {
+                if g == 4 && d.label == "DRAM" {
                     report.metric("dram_realistic_16x", real as f64, Some(47.0));
                 }
             }

@@ -1,5 +1,7 @@
-//! One module per experiment: the seventeen paper figures, Table 2, and
-//! the supporting studies, ablations, and validations. Each implements
+//! The registry's experiments: one module per paper figure, Table 2 and
+//! supporting study, ablation and validation, except Figures 4–12 and
+//! the two registry extensions, which are rows of one table
+//! ([`technique_figures::TECHNIQUE_FIGURES`]). Each implements
 //! [`crate::registry::Experiment`] and is constructed here in
 //! presentation order.
 
@@ -7,20 +9,10 @@ pub mod ablate_inclusion;
 pub mod ablate_replacement;
 pub mod coherence_study;
 pub mod combo_sim;
-pub mod cxl_harvesting;
 pub mod fault_inject;
 pub mod fig01_power_law;
 pub mod fig02_traffic_vs_cores;
 pub mod fig03_die_allocation;
-pub mod fig04_cache_compression;
-pub mod fig05_dram_cache;
-pub mod fig06_3d_cache;
-pub mod fig07_filtering;
-pub mod fig08_smaller_cores;
-pub mod fig09_link_compression;
-pub mod fig10_sectored;
-pub mod fig11_small_lines;
-pub mod fig12_cache_link;
 pub mod fig13_data_sharing;
 pub mod fig14_parsec_sharing;
 pub mod fig15_technique_sweep;
@@ -31,7 +23,7 @@ pub mod predictor_study;
 pub mod roadmap_scenarios;
 pub mod sensitivity;
 pub mod table2_summary;
-pub mod thermal_capped_3d;
+pub mod technique_figures;
 pub mod throughput_wall;
 pub mod validate_compression;
 pub mod validate_line_size;
@@ -39,6 +31,7 @@ pub mod validate_writeback;
 
 use crate::registry::Experiment;
 use bandwall_numerics::rng::splitmix64;
+use technique_figures::{TechniqueFigure, PAPER_FIGURES, TECHNIQUE_FIGURES};
 
 /// Builds every experiment in registry order. With `seed == None` each
 /// seeded experiment keeps its historical default (byte-compatible with
@@ -61,20 +54,17 @@ pub fn all(seed: Option<u64>) -> Vec<Box<dyn Experiment>> {
     if let Some(fault) = fault_inject::from_env() {
         experiments.push(Box::new(fault));
     }
+    let (figures, extensions) = TECHNIQUE_FIGURES.split_at(PAPER_FIGURES);
+    let boxed = |row: &TechniqueFigure| -> Box<dyn Experiment> { Box::new(*row) };
     experiments.extend([
         Box::new(fig01_power_law::Fig01PowerLaw { seed: derive(2026) }) as Box<dyn Experiment>,
         Box::new(fig02_traffic_vs_cores::Fig02TrafficVsCores),
         Box::new(fig03_die_allocation::Fig03DieAllocation),
-        Box::new(fig04_cache_compression::Fig04CacheCompression),
-        Box::new(fig05_dram_cache::Fig05DramCache),
-        Box::new(fig06_3d_cache::Fig063dCache),
-        Box::new(fig07_filtering::Fig07Filtering),
-        Box::new(fig08_smaller_cores::Fig08SmallerCores),
-        Box::new(fig09_link_compression::Fig09LinkCompression),
-        Box::new(fig10_sectored::Fig10Sectored),
-        Box::new(fig11_small_lines::Fig11SmallLines),
-        Box::new(fig12_cache_link::Fig12CacheLink),
-        Box::new(fig13_data_sharing::Fig13DataSharing),
+    ]);
+    // Figures 4–12: unseeded rows of the technique-figure table.
+    experiments.extend(figures.iter().map(boxed));
+    experiments.extend([
+        Box::new(fig13_data_sharing::Fig13DataSharing) as Box<dyn Experiment>,
         Box::new(fig14_parsec_sharing::Fig14ParsecSharing { seed: derive(2026) }),
         Box::new(fig15_technique_sweep::Fig15TechniqueSweep),
         Box::new(fig16_combinations::Fig16Combinations),
@@ -99,11 +89,10 @@ pub fn all(seed: Option<u64>) -> Vec<Box<dyn Experiment>> {
         // Appended after the 29 historical entries so their derived-seed
         // sequence (and therefore every historical report) is unchanged.
         Box::new(combo_sim::ComboSim { seed: derive(47) }),
-        // Registry extensions (unseeded analytic experiments): appended
-        // last, after every seeded entry, so the SplitMix64 derivation
-        // order — and with it the 30 historical reports — stays fixed.
-        Box::new(thermal_capped_3d::ThermalCapped3d),
-        Box::new(cxl_harvesting::CxlHarvesting),
     ]);
+    // Registry extensions (unseeded rows of the same table): appended
+    // last, after every seeded entry, so the SplitMix64 derivation
+    // order — and with it the 30 historical reports — stays fixed.
+    experiments.extend(extensions.iter().map(boxed));
     experiments
 }

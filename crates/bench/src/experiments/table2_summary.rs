@@ -39,25 +39,25 @@ impl Experiment for Table2Summary {
             "Complex.",
             "cores @2x (P/R/O)",
         ]);
-        for profile in catalog() {
+        for d in catalog() {
             let mut cores = Vec::with_capacity(AssumptionLevel::ALL.len());
             for &level in AssumptionLevel::ALL.iter() {
                 cores.push(
                     ScalingProblem::new(paper_baseline(), die_budget(1))
-                        .with_technique(profile.technique(level)?)
+                        .with_technique(d.at(level)?)
                         .max_supportable_cores()?
                         .to_string(),
                 );
             }
             table.push_row(vec![
-                Value::text(profile.name()),
-                Value::text(profile.label()),
-                Value::text(profile.assumption_text(AssumptionLevel::Realistic)),
-                Value::text(profile.assumption_text(AssumptionLevel::Pessimistic)),
-                Value::text(profile.assumption_text(AssumptionLevel::Optimistic)),
-                Value::text(profile.effectiveness().to_string()),
-                Value::text(profile.range().to_string()),
-                Value::text(profile.complexity().to_string()),
+                Value::text(d.name),
+                Value::text(d.label),
+                Value::text(d.band(AssumptionLevel::Realistic).text),
+                Value::text(d.band(AssumptionLevel::Pessimistic).text),
+                Value::text(d.band(AssumptionLevel::Optimistic).text),
+                Value::text(d.effectiveness.to_string()),
+                Value::text(d.range.to_string()),
+                Value::text(d.complexity.to_string()),
                 Value::text(cores.join("/")),
             ]);
         }

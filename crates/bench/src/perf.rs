@@ -661,9 +661,9 @@ fn model_results(options: &BenchOptions) -> Vec<BenchResult> {
         200,
         || {
             let mut cores = 0u64;
-            for profile in catalog() {
+            for d in catalog() {
                 for level in AssumptionLevel::ALL {
-                    let technique = profile.technique(level).expect("catalogued level");
+                    let technique = d.at(level).expect("catalogued level");
                     for &generation in &GENERATIONS {
                         cores += ScalingProblem::new(paper_baseline(), die_budget(generation))
                             .with_technique(technique)

@@ -44,14 +44,6 @@ pub trait Experiment: Send + Sync {
     /// a failing experiment never takes down a batch.
     fn run(&self) -> Result<Report, ExperimentError>;
 
-    /// The catalogue sweep this experiment publishes to `POST /v1/sweep`
-    /// under its registry id, when it is a single-technique sweep over
-    /// the next-generation die. The named-sweep list served by
-    /// `GET /v1/techniques` is derived entirely from these declarations.
-    fn sweep(&self) -> Option<crate::sweep::CatalogueSweep> {
-        None
-    }
-
     /// Runs the experiment and folds any error into a
     /// [`Report::failure`] carrying this experiment's registry identity.
     fn run_to_report(&self) -> Report {
@@ -87,24 +79,51 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_stable() {
-        let reg = registry();
+        // The order is part of the output: it is the order of `run --all`,
+        // of `bandwall list`, and of the named sweeps that
+        // `GET /v1/techniques` and an unknown-sweep error list.
+        let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
         assert_eq!(
-            reg.len(),
-            32,
-            "29 historical experiments + combo_sim + 2 registry extensions"
+            ids,
+            [
+                "fig01_power_law",
+                "fig02_traffic_vs_cores",
+                "fig03_die_allocation",
+                "fig04_cache_compression",
+                "fig05_dram_cache",
+                "fig06_3d_cache",
+                "fig07_filtering",
+                "fig08_smaller_cores",
+                "fig09_link_compression",
+                "fig10_sectored",
+                "fig11_small_lines",
+                "fig12_cache_link",
+                "fig13_data_sharing",
+                "fig14_parsec_sharing",
+                "fig15_technique_sweep",
+                "fig16_combinations",
+                "fig17_alpha_sensitivity",
+                "table2_summary",
+                "throughput_wall",
+                "roadmap_scenarios",
+                "sensitivity",
+                "mixed_workloads",
+                "ablate_inclusion",
+                "ablate_replacement",
+                "coherence_study",
+                "predictor_study",
+                "validate_compression",
+                "validate_line_size",
+                "validate_writeback",
+                // Appended after the 29 historical entries, then the two
+                // registry extensions.
+                "combo_sim",
+                "thermal_capped_3d",
+                "cxl_harvesting",
+            ]
         );
-        let ids: BTreeSet<&str> = reg.iter().map(|e| e.id()).collect();
-        assert_eq!(ids.len(), reg.len(), "ids must be unique");
-        for id in [
-            "combo_sim",
-            "fig01_power_law",
-            "fig16_combinations",
-            "validate_writeback",
-            "thermal_capped_3d",
-            "cxl_harvesting",
-        ] {
-            assert!(ids.contains(id), "missing {id}");
-        }
+        let unique: BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "ids must be unique");
     }
 
     #[test]

@@ -736,26 +736,26 @@ pub fn techniques_body() -> String {
     let mut out = String::with_capacity(8192);
     out.push_str(OK_PREFIX);
     out.push_str("{\"techniques\":[");
-    for (i, profile) in extended_catalog().iter().enumerate() {
+    for (i, d) in extended_catalog().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"id\":");
-        out.push_str(&json_string(profile.id()));
+        out.push_str(&json_string(d.id));
         out.push_str(",\"label\":");
-        out.push_str(&json_string(profile.label()));
+        out.push_str(&json_string(d.label));
         out.push_str(",\"name\":");
-        out.push_str(&json_string(profile.name()));
+        out.push_str(&json_string(d.name));
         out.push_str(",\"category\":");
-        out.push_str(&json_string(&profile.category().to_string()));
+        out.push_str(&json_string(&d.category.to_string()));
         out.push_str(",\"effectiveness\":");
-        out.push_str(&json_string(&profile.effectiveness().to_string()));
+        out.push_str(&json_string(&d.effectiveness.to_string()));
         out.push_str(",\"range\":");
-        out.push_str(&json_string(&profile.range().to_string()));
+        out.push_str(&json_string(&d.range.to_string()));
         out.push_str(",\"complexity\":");
-        out.push_str(&json_string(&profile.complexity().to_string()));
+        out.push_str(&json_string(&d.complexity.to_string()));
         out.push_str(",\"params\":");
-        out.push_str(&params_schema(profile.descriptor()));
+        out.push_str(&params_schema(d));
         out.push_str(",\"assumptions\":{");
         for (j, level) in AssumptionLevel::ALL.iter().enumerate() {
             if j > 0 {
@@ -763,11 +763,9 @@ pub fn techniques_body() -> String {
             }
             out.push_str(&json_string(&level.to_string()));
             out.push_str(":{\"text\":");
-            out.push_str(&json_string(profile.assumption_text(*level)));
+            out.push_str(&json_string(d.band(*level).text));
             out.push_str(",\"technique\":");
-            let technique = profile
-                .technique(*level)
-                .expect("catalogue parameters are valid");
+            let technique = d.at(*level).expect("catalogue parameters are valid");
             out.push_str(&technique_spec(&technique));
             out.push('}');
         }
@@ -1070,9 +1068,9 @@ mod tests {
         // Every advertised technique spec must parse back through the
         // request schema (discovery output is request-ready) — the
         // extensions included.
-        for profile in extended_catalog() {
+        for d in extended_catalog() {
             for level in AssumptionLevel::ALL {
-                let spec = technique_spec(&profile.technique(level).unwrap());
+                let spec = technique_spec(&d.at(level).unwrap());
                 let body = format!("{{\"total_ceas\":32,\"techniques\":[{spec}]}}");
                 parse_problem(&body).unwrap_or_else(|e| panic!("{spec}: {e}"));
             }
@@ -1083,8 +1081,8 @@ mod tests {
     fn every_advertised_technique_sweeps_as_a_custom_variant() {
         // Catalogue/API drift guard: each registry entry's realistic
         // spec must be accepted by POST /v1/sweep as a custom variant.
-        for profile in extended_catalog() {
-            let spec = technique_spec(&profile.technique(AssumptionLevel::Realistic).unwrap());
+        for d in extended_catalog() {
+            let spec = technique_spec(&d.at(AssumptionLevel::Realistic).unwrap());
             let body =
                 format!("{{\"variants\":[{{\"label\":\"base\"}},{{\"technique\":{spec}}}]}}");
             let req = match ApiRequest::parse(Endpoint::Sweep, body.as_bytes()) {
@@ -1092,7 +1090,7 @@ mod tests {
                 other => panic!("{spec}: {other:?}"),
             };
             assert_eq!(req.variants.len(), 2, "{spec}");
-            assert_eq!(req.variants[1].label, profile.label(), "{spec}");
+            assert_eq!(req.variants[1].label, d.label, "{spec}");
         }
     }
 

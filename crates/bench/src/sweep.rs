@@ -3,11 +3,12 @@
 //! the next-generation 32-CEA die under a constant traffic envelope.
 //!
 //! A figure's sweep is declared as a [`CatalogueSweep`] — base row
-//! first, by construction — and registered through
-//! [`crate::registry::Experiment::sweep`], from which the named sweeps
-//! `POST /v1/sweep` serves are derived. There is no hand-maintained
-//! name list: registering an experiment with a sweep *is* publishing it.
+//! first, by construction — in its row of [`TECHNIQUE_FIGURES`], from
+//! which the named sweeps `POST /v1/sweep` serves are read. There is no
+//! hand-maintained name list: adding a row *is* publishing its sweep.
 
+use crate::experiments::technique_figures::{TechniqueFigure, TECHNIQUE_FIGURES};
+use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use crate::{die_budget, paper_baseline};
 use bandwall_model::descriptor;
@@ -36,8 +37,8 @@ impl Variant {
 
     /// Builds a technique variant from the registry: `id` names a
     /// [`descriptor::TechniqueDescriptor`] and `params` its full
-    /// parameter vector. This is the one constructor the figure modules
-    /// use, so a sweep point is always a registry-validated instance.
+    /// parameter vector. This is the one constructor the technique-figure
+    /// rows use, so a sweep point is always a registry-validated instance.
     ///
     /// # Panics
     ///
@@ -136,27 +137,20 @@ pub fn sweep_block(
     Ok((table, results))
 }
 
-/// The catalogue-sweep names `POST /v1/sweep` serves, derived from the
-/// experiment registry: every experiment that declares a
-/// [`CatalogueSweep`] is listed under its registry id, in registry
-/// order.
+/// The catalogue-sweep names `POST /v1/sweep` serves: the ids of the
+/// [`TECHNIQUE_FIGURES`] rows, in registry order.
 pub fn named_sweep_ids() -> Vec<&'static str> {
-    crate::registry::registry()
-        .iter()
-        .filter(|e| e.sweep().is_some())
-        .map(|e| e.id())
-        .collect()
+    TECHNIQUE_FIGURES.iter().map(|row| row.id()).collect()
 }
 
 /// Resolves a named catalogue sweep to its variant list (`None` for an
 /// unknown name). Names are registry experiment ids (see
 /// [`named_sweep_ids`]).
 pub fn named_sweep(name: &str) -> Option<Vec<Variant>> {
-    crate::registry::registry()
+    TECHNIQUE_FIGURES
         .iter()
-        .find(|e| e.id() == name)
-        .and_then(|e| e.sweep())
-        .map(CatalogueSweep::into_variants)
+        .find(|row| row.id() == name)
+        .map(TechniqueFigure::variants)
 }
 
 /// Records a `cores[label]` metric for every variant the paper anchors.

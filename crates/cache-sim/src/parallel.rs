@@ -712,10 +712,23 @@ where
             }
         }
         drop(senders);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bank worker panicked"))
-            .collect()
+        // Join every worker, then re-raise the lowest-numbered bank's
+        // panic with its own payload, so the caller sees the same message
+        // at every bank count.
+        let mut results = Vec::with_capacity(banks);
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(result) => results.push(result),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        results
     })
 }
 
@@ -909,6 +922,31 @@ mod tests {
                 ];
                 assert_eq!(runs, [Some(name); 3], "{fill:?} at {threads} threads");
             }
+        }
+    }
+
+    #[test]
+    fn a_bank_panic_keeps_its_message_at_every_bank_count() {
+        // Only thread 3 of the 4-thread trace is out of range, so every
+        // bank fails with the same message.
+        let c = CmpSimConfig {
+            cores: 3,
+            ..shared_config()
+        };
+        let message = |banks: usize| {
+            let mut t = ParsecLikeTrace::builder(4).seed(1).build();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                c.run(&mut t, 20_000, banks)
+            }))
+            .expect_err("thread 3 must overflow a 3-core CMP");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message")
+        };
+        assert_eq!(message(1), "thread 3 exceeds core count 3");
+        for banks in [2, 4] {
+            assert_eq!(message(banks), message(1), "{banks} banks");
         }
     }
 }

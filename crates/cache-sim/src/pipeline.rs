@@ -349,17 +349,6 @@ pub enum FillSpec {
 }
 
 impl FillSpec {
-    /// Human-readable label matching [`Fill::label`].
-    pub fn label(&self) -> &'static str {
-        match self {
-            FillSpec::FullLine => "full-line",
-            FillSpec::Sectored { .. } => "sectored",
-            FillSpec::PredictiveSectored { .. } => "predictive-sectored",
-            FillSpec::Compressed { .. } => "compressed",
-            FillSpec::SectoredCompressed { .. } => "sectored+compressed",
-        }
-    }
-
     /// Checks that [`PipelineCache::with_fill`] can build this fill over
     /// `cache`, so a run rejects a bad configuration with an error
     /// instead of panicking inside a bank worker: the sector count must

@@ -1,4 +1,4 @@
-//! The technique catalogue of Table 2, as a thin view over the
+//! The technique catalogue of Table 2, read straight from the
 //! [`crate::descriptor`] registry: each mechanism with its realistic /
 //! pessimistic / optimistic parameter assumptions and the paper's
 //! qualitative assessment (effectiveness, variability, complexity).
@@ -8,8 +8,6 @@
 //! includes every post-2009 technique registered since.
 
 use crate::descriptor::{registry, TechniqueDescriptor};
-use crate::error::ModelError;
-use crate::techniques::{Category, Technique};
 use std::fmt;
 
 /// Which end of a technique's assumption band to instantiate (the candle
@@ -65,77 +63,6 @@ impl fmt::Display for Rating {
     }
 }
 
-/// One row of the catalogue: a registered technique, its assumption
-/// band, and its qualitative assessment — a view over one
-/// [`TechniqueDescriptor`].
-#[derive(Debug, Clone, Copy)]
-pub struct TechniqueProfile {
-    descriptor: &'static TechniqueDescriptor,
-}
-
-impl TechniqueProfile {
-    /// Stable registry id (e.g. `"dram_cache"`).
-    pub fn id(&self) -> &'static str {
-        self.descriptor.id
-    }
-
-    /// The underlying registry descriptor.
-    pub fn descriptor(&self) -> &'static TechniqueDescriptor {
-        self.descriptor
-    }
-
-    /// Short figure-axis label (e.g. `"CC/LC"`).
-    pub fn label(&self) -> &'static str {
-        self.descriptor.label
-    }
-
-    /// Full technique name.
-    pub fn name(&self) -> &'static str {
-        self.descriptor.name
-    }
-
-    /// Human-readable assumption text for a level, as printed in Table 2.
-    pub fn assumption_text(&self, level: AssumptionLevel) -> &'static str {
-        self.descriptor.band(level).text
-    }
-
-    /// Expected benefit to CMP core scaling.
-    pub fn effectiveness(&self) -> Rating {
-        self.descriptor.effectiveness
-    }
-
-    /// Variability of the benefit across workloads.
-    pub fn range(&self) -> Rating {
-        self.descriptor.range
-    }
-
-    /// Estimated implementation cost/feasibility.
-    pub fn complexity(&self) -> Rating {
-        self.descriptor.complexity
-    }
-
-    /// Instantiates the technique at an assumption level.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for registered techniques (their bands are
-    /// registry-tested); the `Result` mirrors the technique constructors.
-    pub fn technique(&self, level: AssumptionLevel) -> Result<Technique, ModelError> {
-        self.descriptor.at(level)
-    }
-
-    /// The paper's category of this technique.
-    pub fn category(&self) -> Category {
-        self.descriptor.category
-    }
-}
-
-impl PartialEq for TechniqueProfile {
-    fn eq(&self, other: &Self) -> bool {
-        self.descriptor.tag == other.descriptor.tag
-    }
-}
-
 /// The paper's Table 2 catalogue — exactly nine rows, in Figure 15
 /// order. Registered post-2009 techniques are deliberately excluded so
 /// the paper-reproduction experiments keep their exact row sets; see
@@ -148,16 +75,12 @@ impl PartialEq for TechniqueProfile {
 ///
 /// let table = catalog();
 /// assert_eq!(table.len(), 9);
-/// assert_eq!(table[0].label(), "CC");
-/// let dram = table.iter().find(|p| p.label() == "DRAM").unwrap();
-/// assert_eq!(dram.assumption_text(AssumptionLevel::Realistic), "8x density");
+/// assert_eq!(table[0].label, "CC");
+/// let dram = table.iter().find(|d| d.label == "DRAM").unwrap();
+/// assert_eq!(dram.band(AssumptionLevel::Realistic).text, "8x density");
 /// ```
-pub fn catalog() -> Vec<TechniqueProfile> {
-    registry()
-        .iter()
-        .filter(|d| d.paper)
-        .map(|descriptor| TechniqueProfile { descriptor })
-        .collect()
+pub fn catalog() -> Vec<&'static TechniqueDescriptor> {
+    registry().iter().filter(|d| d.paper).collect()
 }
 
 /// Every registered technique — the Table 2 rows followed by the
@@ -169,13 +92,10 @@ pub fn catalog() -> Vec<TechniqueProfile> {
 /// use bandwall_model::catalog::{catalog, extended_catalog};
 ///
 /// assert!(extended_catalog().len() > catalog().len());
-/// assert!(extended_catalog().iter().any(|p| p.id() == "cxl_harvesting"));
+/// assert!(extended_catalog().iter().any(|d| d.id == "cxl_harvesting"));
 /// ```
-pub fn extended_catalog() -> Vec<TechniqueProfile> {
+pub fn extended_catalog() -> &'static [TechniqueDescriptor] {
     registry()
-        .iter()
-        .map(|descriptor| TechniqueProfile { descriptor })
-        .collect()
 }
 
 /// Looks up a catalogue entry (including extensions) by its figure
@@ -188,8 +108,8 @@ pub fn extended_catalog() -> Vec<TechniqueProfile> {
 /// assert!(profile("DRAM").is_some());
 /// assert!(profile("nope").is_none());
 /// ```
-pub fn profile(label: &str) -> Option<TechniqueProfile> {
-    extended_catalog().into_iter().find(|p| p.label() == label)
+pub fn profile(label: &str) -> Option<&'static TechniqueDescriptor> {
+    registry().iter().find(|d| d.label == label)
 }
 
 #[cfg(test)]
@@ -198,7 +118,7 @@ mod tests {
 
     #[test]
     fn catalogue_has_nine_rows_in_figure_order() {
-        let labels: Vec<&str> = catalog().iter().map(|p| p.label()).collect();
+        let labels: Vec<&str> = catalog().iter().map(|d| d.label).collect();
         assert_eq!(
             labels,
             ["CC", "DRAM", "3D", "Fltr", "SmCo", "LC", "Sect", "SmCl", "CC/LC"]
@@ -207,7 +127,7 @@ mod tests {
 
     #[test]
     fn extended_catalogue_appends_registered_techniques() {
-        let ids: Vec<&str> = extended_catalog().iter().map(|p| p.id()).collect();
+        let ids: Vec<&str> = extended_catalog().iter().map(|d| d.id).collect();
         assert!(ids.len() >= 11, "{ids:?}");
         assert_eq!(&ids[..2], &["cache_compression", "dram_cache"]);
         assert!(ids.contains(&"thermal_capped_3d"));
@@ -216,10 +136,10 @@ mod tests {
 
     #[test]
     fn every_profile_instantiates_at_every_level() {
-        for p in extended_catalog() {
+        for d in extended_catalog() {
             for level in AssumptionLevel::ALL {
-                let t = p.technique(level).unwrap();
-                assert_eq!(t.label(), p.label(), "{}", p.name());
+                let t = d.at(level).unwrap();
+                assert_eq!(t.label(), d.label, "{}", d.name);
             }
         }
     }
@@ -227,44 +147,38 @@ mod tests {
     #[test]
     fn table2_qualitative_ratings() {
         let dram = profile("DRAM").unwrap();
-        assert_eq!(dram.effectiveness(), Rating::High);
-        assert_eq!(dram.range(), Rating::Medium);
-        assert_eq!(dram.complexity(), Rating::Low);
+        assert_eq!(dram.effectiveness, Rating::High);
+        assert_eq!(dram.range, Rating::Medium);
+        assert_eq!(dram.complexity, Rating::Low);
         let smco = profile("SmCo").unwrap();
-        assert_eq!(smco.effectiveness(), Rating::Low);
+        assert_eq!(smco.effectiveness, Rating::Low);
         let threed = profile("3D").unwrap();
-        assert_eq!(threed.complexity(), Rating::High);
+        assert_eq!(threed.complexity, Rating::High);
     }
 
     #[test]
     fn assumption_texts_match_table2() {
         let cc = profile("CC").unwrap();
-        assert_eq!(cc.assumption_text(AssumptionLevel::Realistic), "2x compr.");
-        assert_eq!(
-            cc.assumption_text(AssumptionLevel::Pessimistic),
-            "1.25x compr."
-        );
-        assert_eq!(
-            cc.assumption_text(AssumptionLevel::Optimistic),
-            "3.5x compr."
-        );
+        assert_eq!(cc.band(AssumptionLevel::Realistic).text, "2x compr.");
+        assert_eq!(cc.band(AssumptionLevel::Pessimistic).text, "1.25x compr.");
+        assert_eq!(cc.band(AssumptionLevel::Optimistic).text, "3.5x compr.");
     }
 
     #[test]
     fn optimistic_at_least_as_good_as_pessimistic() {
         use crate::params::Baseline;
         use crate::scaling::ScalingProblem;
-        for p in extended_catalog() {
+        for d in extended_catalog() {
             let solve = |level| {
                 ScalingProblem::new(Baseline::niagara2_like(), 32.0)
-                    .with_technique(p.technique(level).unwrap())
+                    .with_technique(d.at(level).unwrap())
                     .max_supportable_cores()
                     .unwrap()
             };
             let pess = solve(AssumptionLevel::Pessimistic);
             let real = solve(AssumptionLevel::Realistic);
             let opt = solve(AssumptionLevel::Optimistic);
-            assert!(pess <= real && real <= opt, "{}", p.name());
+            assert!(pess <= real && real <= opt, "{}", d.name);
         }
     }
 
@@ -283,9 +197,9 @@ mod tests {
     #[test]
     fn categories_exposed() {
         use crate::techniques::Category;
-        assert_eq!(profile("CC").unwrap().category(), Category::Indirect);
-        assert_eq!(profile("LC").unwrap().category(), Category::Direct);
-        assert_eq!(profile("SmCl").unwrap().category(), Category::Dual);
-        assert_eq!(profile("CXL").unwrap().category(), Category::Direct);
+        assert_eq!(profile("CC").unwrap().category, Category::Indirect);
+        assert_eq!(profile("LC").unwrap().category, Category::Direct);
+        assert_eq!(profile("SmCl").unwrap().category, Category::Dual);
+        assert_eq!(profile("CXL").unwrap().category, Category::Direct);
     }
 }

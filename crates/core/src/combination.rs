@@ -46,12 +46,12 @@ impl Combination {
     pub fn from_labels(labels: &[&str], level: AssumptionLevel) -> Result<Self, ModelError> {
         let mut techniques = Vec::with_capacity(labels.len());
         for &label in labels {
-            let p = profile(label).ok_or(ModelError::InvalidParameter {
+            let d = profile(label).ok_or(ModelError::InvalidParameter {
                 name: "label",
                 value: f64::NAN,
                 constraint: "must be a Table 2 technique label",
             })?;
-            techniques.push(p.technique(level)?);
+            techniques.push(d.at(level)?);
         }
         Ok(Combination {
             name: labels.join(" + "),

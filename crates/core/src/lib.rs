@@ -62,7 +62,7 @@ mod throughput;
 mod traffic;
 
 pub use canonical::CanonicalProblem;
-pub use catalog::{catalog, extended_catalog, AssumptionLevel, Rating, TechniqueProfile};
+pub use catalog::{catalog, extended_catalog, AssumptionLevel, Rating};
 pub use descriptor::{ParamDomain, ParamSpec, TechniqueDescriptor};
 pub use effects::Effects;
 pub use error::ModelError;

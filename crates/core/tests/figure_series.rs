@@ -28,18 +28,18 @@ fn figure15_realistic_series() {
         ("SmCl", [16, 22, 30, 40]),
         ("CC/LC", [18, 26, 36, 47]),
     ];
-    for profile in catalog() {
+    for d in catalog() {
         let (_, series) = expected
             .iter()
-            .find(|(label, _)| *label == profile.label())
+            .find(|(label, _)| *label == d.label)
             .expect("every catalogue entry is pinned");
-        let technique = profile.technique(AssumptionLevel::Realistic).unwrap();
+        let technique = d.at(AssumptionLevel::Realistic).unwrap();
         for (g, &want) in (1..=4).zip(series) {
             assert_eq!(
                 solve(&[technique], g),
                 want,
                 "{} at generation {g}",
-                profile.label()
+                d.label
             );
         }
     }

@@ -136,16 +136,14 @@ fn cores_monotone_in_envelope() {
 /// nine rows, so every property below holds for future registry
 /// additions by construction.
 fn any_catalogue_technique(rng: &mut Rng) -> Technique {
-    let profiles = extended_catalog();
-    let profile = &profiles[rng.gen_range(0..profiles.len() as u32) as usize];
+    let descriptors = extended_catalog();
+    let descriptor = &descriptors[rng.gen_range(0..descriptors.len() as u32) as usize];
     let level = match rng.gen_range(0..3u32) {
         0 => AssumptionLevel::Pessimistic,
         1 => AssumptionLevel::Realistic,
         _ => AssumptionLevel::Optimistic,
     };
-    profile
-        .technique(level)
-        .expect("catalogue bands instantiate")
+    descriptor.at(level).expect("catalogue bands instantiate")
 }
 
 /// `combine` over the extended catalogue is invariant under any

@@ -50,12 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== technique ranking (realistic assumptions, 64-CEA die) ==");
     let mut ranked: Vec<(String, u64)> = catalog()
         .iter()
-        .map(|profile| {
+        .map(|d| {
             let cores = ScalingProblem::new(baseline, die)
-                .with_technique(profile.technique(AssumptionLevel::Realistic).unwrap())
+                .with_technique(d.at(AssumptionLevel::Realistic).unwrap())
                 .max_supportable_cores()
                 .unwrap();
-            (format!("{} ({})", profile.name(), profile.label()), cores)
+            (format!("{} ({})", d.name, d.label), cores)
         })
         .collect();
     ranked.sort_by_key(|&(_, cores)| std::cmp::Reverse(cores));

@@ -216,7 +216,7 @@ fn figure17_alpha_gap_roughly_doubles_base_cores() {
 
 #[test]
 fn table2_catalog_complete_and_ordered() {
-    let labels: Vec<&str> = catalog().iter().map(|p| p.label()).collect();
+    let labels: Vec<&str> = catalog().iter().map(|d| d.label).collect();
     assert_eq!(
         labels,
         ["CC", "DRAM", "3D", "Fltr", "SmCo", "LC", "Sect", "SmCl", "CC/LC"]
